@@ -7,6 +7,7 @@ Usage: python scripts/roundtrip_census.py [--max-d D] [--n-max N]
 """
 
 import argparse
+import sys
 import time
 
 from ybw.rmatrix import char_cycle, extract_thoma, normal_forms_of_dim
@@ -23,7 +24,9 @@ def main():
     for d in range(1, args.max_d + 1):
         for params, r in normal_forms_of_dim(d):
             recovered = extract_thoma(r)
-            assert recovered == params, (params, recovered)
+            if recovered != params:
+                print(f"d={d}: built from {params}, recovered {recovered}")
+                sys.exit(1)
             chars = [char_cycle(r, n) for n in range(2, args.n_max + 1)]
             rendered = ", ".join(str(c) for c in chars)
             print(f"d={d}  {str(params):42}  chi(c_2..c_{args.n_max}) = [{rendered}]")

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 from .couple import YangBaxterCouple, certify_couple, character
 from .cyclo import CycloScalar, MINUS_ONE, ONE
-from .errors import NonIntegralBlocksError
+from .errors import ExtendedREFailsError, NonIntegralBlocksError
 from .hirai import HiraiParams, closed_form_character, is_yb_admissible, thoma_restriction
 from .matrix import ExactMatrix, SparseOperator, amplify
 from .rmatrix import RMatrix, ThomaParams, boxplus, extract_thoma, verify_rmatrix
@@ -75,7 +74,8 @@ def build_layout(p: HiraiParams, d: int) -> BlockLayout:
     if offenders:
         raise NonIntegralBlocksError(
             f"non-integral multiplicity at d={d} for entries {', '.join(offenders)}")
-    assert offset == d, f"blocks fill {offset} of {d} dimensions"
+    if offset != d:
+        raise NonIntegralBlocksError(f"blocks fill {offset} of {d} dimensions")
     return BlockLayout(d, tuple(blocks))
 
 
@@ -116,7 +116,7 @@ def build_couple(p: HiraiParams, d: int | None = None) -> tuple[YangBaxterCouple
         d = adm.minimal_d
     layout = build_layout(p, d)
     parts = [certified_block_rmatrix(b.dim_v, b.dim_w, b.eps) for b in layout.blocks]
-    r = reduce(boxplus, parts)
+    r = boxplus(*parts)
     irreps = {rep.label: rep for rep in p.irreps}
     pi_images = []
     for t in range(p.group.order):
@@ -144,8 +144,8 @@ def _check_exchange_identity(c: YangBaxterCouple) -> None:
         left = amplify(c.pi[t], dims, 0, 1)
         right = amplify(c.pi[t], dims, 1, 2)
         if r_op * left * r_op != right:
-            raise AssertionError(f"exchange identity fails for element {t}; "
-                                 "this indicates a builder bug")
+            raise ExtendedREFailsError(f"exchange identity fails for element {t}; "
+                                       "this indicates a builder bug")
     return None
 
 

@@ -34,11 +34,9 @@ class NonIntegralBlocksError(YbwError):
 
 
 class NoMatchError(YbwError):
-    """No Thoma candidate matches the trace sequence (certification bug)."""
-
-
-class AmbiguousMatchError(YbwError):
-    """Two Thoma candidates match every tested trace (must not occur)."""
+    """The cycle traces solve to no Thoma parameters with weights k/d: a trace
+    is not rational, a weight count is not a non-negative integer, or the
+    total mass is not 1 (for a certified R, a certification bug)."""
 
 
 class SupportExceedsLevelError(YbwError):

@@ -84,9 +84,6 @@ class ExactMatrix:
             m.data[i][j] = scalar(v)
         return m
 
-    def entry(self, i: int, j: int) -> CycloScalar:
-        return self.data[i][j]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -138,10 +135,6 @@ class ExactMatrix:
         f = scalar(factor)
         return ExactMatrix(self.rows, self.cols, [[f * v for v in row] for row in self.data])
 
-    def transpose(self) -> ExactMatrix:
-        return ExactMatrix(self.cols, self.rows,
-                           [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
     def dagger(self) -> ExactMatrix:
         """Conjugate transpose."""
         return ExactMatrix(self.cols, self.rows,
@@ -184,21 +177,6 @@ class ExactMatrix:
                 elif not v.is_zero():
                     return False
         return True
-
-    def column(self, j: int) -> list[CycloScalar]:
-        return [self.data[i][j] for i in range(self.rows)]
-
-    def apply(self, vec: list[CycloScalar]) -> list[CycloScalar]:
-        if len(vec) != self.cols:
-            raise DimensionMismatchError("vector length does not match column count")
-        out = []
-        for row in self.data:
-            acc = CycloScalar.from_rational(0)
-            for a, x in zip(row, vec):
-                if not a.is_zero() and not x.is_zero():
-                    acc = acc + a * x
-            out.append(acc)
-        return out
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
@@ -276,19 +254,6 @@ class SparseOperator:
                 cols[j].append((i, v.conj()))
         return SparseOperator(self.dim, cols)
 
-    def apply(self, vec: list[CycloScalar]) -> list[CycloScalar]:
-        if len(vec) != self.dim:
-            raise DimensionMismatchError("vector length does not match dimension")
-        out = []
-        for row in self.rows:
-            acc = CycloScalar.from_rational(0)
-            for j, v in row:
-                x = vec[j]
-                if not x.is_zero():
-                    acc = acc + v * x
-            out.append(acc)
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseOperator):
             return NotImplemented
@@ -309,9 +274,6 @@ class SparseOperator:
             if len(row) != 1 or row[0][0] != i or not row[0][1].is_one():
                 return False
         return True
-
-    def max_row_nnz(self) -> int:
-        return max((len(r) for r in self.rows), default=0)
 
     def __repr__(self) -> str:
         return f"SparseOperator(dim={self.dim}, nnz={sum(len(r) for r in self.rows)})"

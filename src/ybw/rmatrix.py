@@ -17,12 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import lcm
+from math import lcm, prod
 
 from .cyclo import CycloScalar, ONE, MINUS_ONE
 from .errors import (
-    AmbiguousMatchError,
     DimensionMismatchError,
     NoMatchError,
     NonIntegralBlocksError,
@@ -133,65 +131,48 @@ def verify_rmatrix(m: ExactMatrix, d: int) -> RMatrix:
     return RMatrix(d, m, _certified=True)
 
 
-def boxplus(x: RMatrix, y: RMatrix) -> RMatrix:
-    """Box-sum: x on V (x) V, y on W (x) W, the flip on mixed tensors."""
-    d1, d2 = x.d, y.d
-    big = d1 + d2
+def boxplus(*parts: RMatrix) -> RMatrix:
+    """Box-sum: each summand on its own diagonal block, the flip on mixed tensors."""
+    big = sum(p.d for p in parts)
     out = ExactMatrix.zeros(big * big, big * big)
-
-    def v_index(u, v):
-        return u * big + v
-
-    for a in range(d1 * d1):
-        arow = x.m.data[a]
-        u_out, v_out = divmod(a, d1)
-        r = v_index(u_out, v_out)
-        for b in range(d1 * d1):
-            val = arow[b]
-            if not val.is_zero():
-                u_in, v_in = divmod(b, d1)
-                out.data[r][v_index(u_in, v_in)] = val
-    # sources and targets of y live in the W block, offset by d1
-    for a in range(d2 * d2):
-        arow = y.m.data[a]
-        u_out, v_out = divmod(a, d2)
-        r = v_index(u_out + d1, v_out + d1)
-        for b in range(d2 * d2):
-            val = arow[b]
-            if not val.is_zero():
-                u_in, v_in = divmod(b, d2)
-                out.data[r][v_index(u_in + d1, v_in + d1)] = val
-    for u in range(d1):
-        for v in range(d1, big):
-            out.data[v_index(v, u)][v_index(u, v)] = ONE
-            out.data[v_index(u, v)][v_index(v, u)] = ONE
+    owner: list[int] = []  # summand of each basis vector of the sum
+    offset = 0
+    for k, p in enumerate(parts):
+        for a, arow in enumerate(p.m.data):
+            u_out, v_out = divmod(a, p.d)
+            row = out.data[(u_out + offset) * big + v_out + offset]
+            for b, val in enumerate(arow):
+                if not val.is_zero():
+                    u_in, v_in = divmod(b, p.d)
+                    row[(u_in + offset) * big + v_in + offset] = val
+        owner += [k] * p.d
+        offset += p.d
+    for u in range(big):
+        for v in range(big):
+            if owner[u] != owner[v]:
+                out.data[v * big + u][u * big + v] = ONE
     return verify_rmatrix(out, big)
 
 
 def scalar_rmatrix(size: int, sign: int) -> RMatrix:
     """(+1) or (-1) times the identity on a size-dim space, as an R-matrix."""
-    m = ExactMatrix.identity(size * size)
-    if sign < 0:
-        m = m.scaled(MINUS_ONE)
-    return verify_rmatrix(m, size)
+    unit = MINUS_ONE if sign < 0 else ONE
+    # diag shares one zero off the diagonal; scaling the identity would
+    # allocate a fresh zero for each of its size^4 entries
+    return verify_rmatrix(ExactMatrix.diag([unit] * (size * size)), size)
 
 
 def normal_form_from_thoma(t: ThomaParams, d: int) -> RMatrix:
     """Box-sum of +identity blocks of sizes d*alpha_i and -identity blocks d*beta_i."""
     blocks: list[tuple[int, int]] = []
     offenders = []
-    for v in t.alpha:
-        size = v * d
-        if size.denominator != 1:
-            offenders.append(str(v))
-        else:
-            blocks.append((int(size), +1))
-    for v in t.beta:
-        size = v * d
-        if size.denominator != 1:
-            offenders.append(str(v))
-        else:
-            blocks.append((int(size), -1))
+    for weights, sign in ((t.alpha, +1), (t.beta, -1)):
+        for v in weights:
+            size = v * d
+            if size.denominator != 1:
+                offenders.append(str(v))
+            else:
+                blocks.append((int(size), sign))
     if offenders:
         raise NonIntegralBlocksError(
             f"entries {', '.join(offenders)} do not give integral blocks at d={d}")
@@ -199,7 +180,7 @@ def normal_form_from_thoma(t: ThomaParams, d: int) -> RMatrix:
         raise NonIntegralBlocksError(
             f"parameters carry total mass {1 - t.deficit}, cannot fill dimension {d}")
     parts = [scalar_rmatrix(size, sign) for size, sign in blocks]
-    return reduce(boxplus, parts)
+    return boxplus(*parts)
 
 
 def yb_rep_perm(r: RMatrix, sigma: FinitePermutation, n: int) -> SparseOperator:
@@ -315,32 +296,71 @@ def partition_pairs(d: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return out
 
 
+def _solve_vandermonde(nodes: list[int], rhs: list[Fraction]) -> list[Fraction]:
+    """The c with sum_k c_k * nodes[k]**j == rhs[j] for every j, exactly.
+
+    With L_k the Lagrange polynomial of node k (1 there, 0 at the other
+    nodes), c_k = sum_j L_k[j] * rhs[j].  The nodes must be distinct.
+    """
+    master = [1]  # prod (x - node), lowest degree first
+    for a in nodes:
+        master = [0] + master
+        for j in range(len(master) - 1):
+            master[j] -= a * master[j + 1]
+    out = []
+    for a in nodes:
+        quotient = [0] * len(nodes)  # master / (x - a)
+        acc = 0
+        for j in range(len(nodes), 0, -1):
+            acc = master[j] + a * acc
+            quotient[j - 1] = acc
+        num = sum((q * b for q, b in zip(quotient, rhs)), Fraction(0))
+        out.append(num / prod(a - b for b in nodes if b != a))
+    return out
+
+
 def extract_thoma(r: RMatrix) -> ThomaParams:
     """Recover the unique Thoma parameters of a certified R-matrix.
 
-    The candidate set is finite: pairs of partitions of d, scaled by 1/d.
-    Cycle traces for n = 2 .. 2d+1 are matched against the signed power
-    sums; no match or more than one match indicates a certification bug.
+    Write m+_k and m-_k for the number of alpha and beta weights equal to
+    k/d.  The cycle traces tr_n for n = 2 .. 2d+1 satisfy
+    sum_k k^n (m+_k + m-_k) = tr_n for odd n and
+    sum_k k^n (m+_k - m-_k) = tr_n for even n: two Vandermonde systems in
+    the nodes k^2, both invertible, so the counts are unique.  Counts that
+    are not non-negative integers, or weights whose total mass is not 1,
+    raise NoMatchError; for a certified R that indicates a certification bug.
     """
     d = r.d
     n_max = 2 * d + 1
-    traces = cycle_trace_sequence(r, n_max)
-    values = []
-    for n, tr in zip(range(2, n_max + 1), traces):
+    traces = []
+    for n, tr in zip(range(2, n_max + 1), cycle_trace_sequence(r, n_max)):
         if not tr.is_rational():
             raise NoMatchError(f"trace of the {n}-cycle image is not rational")
-        values.append(tr.as_rational() / Fraction(d) ** n)
-    matches = []
-    for lam, mu in partition_pairs(d):
-        cand = ThomaParams.make([Fraction(x, d) for x in lam], [Fraction(x, d) for x in mu])
-        if all(cand.power_sum(n) == v for n, v in zip(range(2, n_max + 1), values)):
-            matches.append(cand)
-    if not matches:
-        raise NoMatchError(f"no partition pair of d={d} matches the cycle traces {values}")
-    if len(matches) > 1:
-        raise AmbiguousMatchError(
-            f"candidates {matches[0]} and {matches[1]} agree on all cycle traces up to n={n_max}")
-    return matches[0]
+        traces.append(tr.as_rational())
+    nodes = [k * k for k in range(1, d + 1)]
+    # traces[2j + 1] is tr_(2j+3), traces[2j] is tr_(2j+2)
+    sums = _solve_vandermonde(nodes, traces[1::2])
+    diffs = _solve_vandermonde(nodes, traces[0::2])
+    ks = range(d, 0, -1)
+    plus: list[int] = []
+    minus: list[int] = []
+    for k in ks:
+        s, t = sums[k - 1] / k ** 3, diffs[k - 1] / k ** 2
+        for name, count, counts in (("alpha", (s + t) / 2, plus), ("beta", (s - t) / 2, minus)):
+            if count.denominator != 1 or count < 0:
+                raise NoMatchError(
+                    f"the cycle traces give {count} {name} weights equal to {k}/{d}, "
+                    "not a non-negative integer")
+            counts.append(int(count))
+    # checked before the weight lists are expanded, so every count is <= d
+    mass = Fraction(sum(k * (p + m) for k, p, m in zip(ks, plus, minus)), d)
+    if mass != 1:
+        raise NoMatchError(f"the cycle traces give weights of total mass {mass}, not 1")
+
+    def weights(counts: list[int]) -> tuple[Fraction, ...]:
+        return tuple(Fraction(k, d) for k, c in zip(ks, counts) for _ in range(c))
+
+    return ThomaParams(weights(plus), weights(minus))
 
 
 def merge_thoma(x: ThomaParams, dx: int, y: ThomaParams, dy: int) -> ThomaParams:

@@ -72,9 +72,6 @@ class WreathElement:
         colors = {sigma_inv(i): self.group.inv(t) for i, t in self.colors.items()}
         return WreathElement(self.group, colors, sigma_inv)
 
-    def conjugated_by(self, h: WreathElement) -> WreathElement:
-        return h * self * h.inverse()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WreathElement):
             return NotImplemented

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ybw.construct import (
+    _check_exchange_identity,
     block_rmatrix,
     block_thoma,
     build_couple,
@@ -10,9 +11,9 @@ from ybw.construct import (
     certified_block_rmatrix,
     end_to_end_check,
 )
-from ybw.couple import character
+from ybw.couple import certify_couple, character
 from ybw.cyclo import CycloScalar
-from ybw.errors import NonIntegralBlocksError
+from ybw.errors import ExtendedREFailsError, NonIntegralBlocksError
 from ybw.groups import catalog_irreps, load_group
 from ybw.hirai import thoma_restriction, validate_params
 from ybw.matrix import ExactMatrix, SparseOperator, amplify, flip_operator
@@ -22,6 +23,7 @@ from ybw.rmatrix import (
     cycle_trace_sequence,
     extract_thoma,
     normal_form_from_thoma,
+    scalar_rmatrix,
 )
 from ybw.rng import Lcg64
 from ybw.wreath import WreathElement
@@ -158,6 +160,16 @@ def test_exchange_identity_dense_oracle(corpus_couples):
         for t in range(couple.group.order):
             lhs = couple.r.m * couple.pi[t].kron(eye) * couple.r.m
             assert lhs == eye.kron(couple.pi[t]), (name, t)
+
+
+def test_exchange_identity_failure_is_typed():
+    # R = identity on C^2 (x) C^2 certifies with pi(s) = diag(1, -1), but
+    # R (pi(s) (x) 1) R = pi(s) (x) 1 differs from 1 (x) pi(s)
+    g = load_group("z2")
+    couple = certify_couple(g, scalar_rmatrix(2, +1),
+                            [ExactMatrix.identity(2), ExactMatrix.diag([1, -1])], 1)
+    with pytest.raises(ExtendedREFailsError, match="element 1"):
+        _check_exchange_identity(couple)
 
 
 def test_end_to_end_report():

@@ -37,6 +37,9 @@ def test_scalar_schema_errors():
         codecs.scalar_from_json({"c": ["1"]}, "t")
     with pytest.raises(SchemaError):
         codecs.scalar_from_json({"N": 12, "c": ["1"]}, "t")  # wrong length
+    with pytest.raises(SchemaError, match=r"^t\.N: conductor .* exceeds"):
+        # rejected before phi(N) is computed by trial division
+        codecs.scalar_from_json({"N": 1000000000000000003, "c": ["1"]}, "t")
 
 
 def test_matrix_roundtrip():

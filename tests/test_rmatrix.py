@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from ybw.cyclo import zeta
+from ybw.cyclo import scalar, zeta
 from ybw.errors import (
-    AmbiguousMatchError,
+    NoMatchError,
     NonIntegralBlocksError,
     NotInvolutiveError,
     SupportExceedsLevelError,
@@ -95,6 +95,14 @@ def test_boxplus_merges_thoma():
     expected = merge_thoma(extract_thoma(f), 2, extract_thoma(pm), 2)
     assert got == expected
     assert expected == ThomaParams.make([Fraction(1, 4)] * 3, [Fraction(1, 4)])
+
+
+def test_boxplus_n_ary_equals_nested_binary():
+    f = verify_rmatrix(flip_operator(2, 2), 2)
+    parts = [scalar_rmatrix(1, -1), f, scalar_rmatrix(2, +1)]
+    nested = boxplus(boxplus(parts[0], parts[1]), parts[2])
+    assert boxplus(*parts).m == nested.m
+    assert boxplus(f).m == f.m
 
 
 # -- normal forms -----------------------------------------------------
@@ -239,13 +247,38 @@ def test_extract_plus_minus():
 
 
 def test_extract_round_trip_spec_example():
-    params = ThomaParams.make([Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 4)])
-    assert extract_thoma(normal_form_from_thoma(params, 4)) == params
+    for params, d in [
+        (ThomaParams.make([Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 4)]), 4),
+        # d = 24: 94,235 partition pairs, far too many to match one by one
+        (ThomaParams.make([Fraction(k, 24) for k in (9, 5, 3, 1)],
+                          [Fraction(k, 24) for k in (4, 2)]), 24),
+    ]:
+        assert extract_thoma(normal_form_from_thoma(params, d)) == params
 
 
 def test_extract_dense_representative():
     assert extract_thoma(hadamard_conjugated_flip()) == ThomaParams.make(
         [Fraction(1, 2), Fraction(1, 2)], [])
+
+
+@pytest.mark.parametrize("d, traces, witness", [
+    # tr_n = 2^(n-1) is half an alpha weight at 2/3: sum_k k^n m_k with m_2 = 1/2
+    (3, [2 ** (n - 1) for n in range(2, 8)], r"1/2 alpha weights equal to 2/3"),
+    # m+_1 = 0 and m-_1 = -1: tr_n = -(-1)^(n-1)
+    (1, [1, -1], r"-1 beta weights equal to 1/1"),
+    # a single alpha weight 1/2 at d = 2 solves the traces but leaves mass 1/2
+    (2, [1, 1, 1, 1], r"total mass 1/2,"),
+    # 10^30 weights 1/1: rejected by mass before any weight list is built
+    (1, [10 ** 30, 10 ** 30], r"total mass 10{30},"),
+    (1, [1, zeta(4)], r"3-cycle image is not rational"),
+])
+def test_extract_names_the_witness_of_doctored_traces(d, traces, witness):
+    # a certified R whose cached cycle traces for n = 2 .. 2d+1 are replaced
+    r = verify_rmatrix(ExactMatrix.identity(d * d), d)
+    r._cycle_traces = [scalar(v) for v in traces]
+    assert len(traces) == 2 * d
+    with pytest.raises(NoMatchError, match=witness):
+        extract_thoma(r)
 
 
 def test_round_trip_exhaustive_d6():
