@@ -6,6 +6,7 @@ Usage: python scripts/theorem_sweep.py [--samples N] [--seed S] [--window W]
 """
 
 import argparse
+import sys
 import time
 
 from ybw.cli import corpus_dir
@@ -14,14 +15,6 @@ from ybw.couple import verify_extremality
 from ybw.hirai import is_yb_admissible
 from ybw.io import params_from_json, read_json_file
 from ybw.rng import Lcg64
-
-CORPUS = (
-    "z2_half_half.params.json",
-    "s3_std.params.json",
-    "s3_triv_std.params.json",
-    "z3_eps_mix.params.json",
-    "q8_2dim.params.json",
-)
 
 
 def main():
@@ -34,22 +27,34 @@ def main():
                     help="disjoint-support pairs for the extremality check")
     args = ap.parse_args()
 
+    manifest = read_json_file(corpus_dir() / "expectations.json")
     print(f"{'corpus file':34} {'d':>2} {'chars':>6} {'pairs':>6} {'time':>7}")
-    for name in CORPUS:
+    for name in (item["file"] for item in manifest["params"]):
         params = params_from_json(read_json_file(corpus_dir() / name), name)
         adm = is_yb_admissible(params)
-        assert adm.verdict, name
+        if not adm.verdict:
+            print(f"{name}: not admissible: {', '.join(adm.violations)}")
+            sys.exit(1)
         start = time.time()
         rng = Lcg64(args.seed)
         sample = [rng.wreath_element(params.group, 1, args.window)
                   for _ in range(args.samples)]
         result = end_to_end_check(params, sample)
-        assert result.ok, (name, result.char_mismatches[:1])
+        if not result.thoma_ok:
+            print(f"{name}: built {result.thoma_built}, expected {result.thoma_expected}")
+            sys.exit(1)
+        if result.char_mismatches:
+            g, lhs, rhs = result.char_mismatches[0]
+            print(f"{name}: at {g!r} the trace gives {lhs}, the closed form {rhs}")
+            sys.exit(1)
         couple, _ = build_couple(params)
         pair_rng = Lcg64(args.seed + 1)
         pairs = [pair_rng.disjoint_pair(params.group) for _ in range(args.pairs)]
         ext = verify_extremality(couple, pairs)
-        assert ext.ok, name
+        if not ext.ok:
+            g, h, lhs, rhs = ext.failures[0]
+            print(f"{name}: chi(gh) = {lhs} but chi(g) chi(h) = {rhs} for g = {g!r}, h = {h!r}")
+            sys.exit(1)
         elapsed = time.time() - start
         print(f"{name:34} {couple.d:>2} {result.samples:>6} "
               f"{ext.pairs_checked:>6} {elapsed:>6.2f}s")

@@ -225,6 +225,9 @@ def cmd_char(args, report: Report) -> None:
 
 
 def cmd_verify_theorem(args, report: Report) -> None:
+    if args.samples <= 0:
+        # zero samples would pass with nothing checked
+        raise SchemaError("--samples", f"must be a positive integer, got {args.samples}")
     params = _load_params(args.file, report)
     rng = Lcg64(args.seed)
     sample = [rng.wreath_element(params.group, 1, 5) for _ in range(args.samples)]

@@ -21,7 +21,7 @@ from .couple import YangBaxterCouple, certify_couple, character
 from .cyclo import CycloScalar, MINUS_ONE, ONE
 from .errors import ExtendedREFailsError, NonIntegralBlocksError
 from .hirai import HiraiParams, closed_form_character, is_yb_admissible, thoma_restriction
-from .matrix import ExactMatrix, SparseOperator, amplify
+from .matrix import ExactMatrix, amplify, gate_product
 from .rmatrix import RMatrix, ThomaParams, boxplus, extract_thoma, verify_rmatrix
 from .wreath import WreathElement
 
@@ -137,13 +137,10 @@ def build_couple(p: HiraiParams, d: int | None = None) -> tuple[YangBaxterCouple
 
 def _check_exchange_identity(c: YangBaxterCouple) -> None:
     """R (pi(t) (x) 1) R = 1 (x) pi(t), exactly, for every group element."""
-    d = c.d
-    dims = (d, d)
-    r_op = SparseOperator.from_dense(c.r.m)
+    dims = (c.d, c.d)
+    r = (c.r.m, 0, 2)
     for t in range(c.group.order):
-        left = amplify(c.pi[t], dims, 0, 1)
-        right = amplify(c.pi[t], dims, 1, 2)
-        if r_op * left * r_op != right:
+        if gate_product(dims, [r, (c.pi[t], 0, 1), r]) != amplify(c.pi[t], dims, 1, 2):
             raise ExtendedREFailsError(f"exchange identity fails for element {t}; "
                                        "this indicates a builder bug")
     return None

@@ -9,16 +9,16 @@ A certified couple induces a representation of the wreath product on
 truncated spaces W (x) V^(x n) and, through the normalized trace, an
 extremal character evaluated here exactly.
 
-Character values are computed at the truncation level n = max(support, 1);
-they are independent of any larger level because the operators act as the
-identity on appended factors.
+The image of a wreath element is one word of local gates, pi(t) on
+W (x) V_1 and R on adjacent V-slots, evaluated by matrix.gate_product;
+no operator is kept between calls.  Character values are computed at the
+truncation level n = max(support, 1); they are independent of any larger
+level because the operators act as the identity on appended factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .cyclo import CycloScalar
 from .errors import (
@@ -31,15 +31,16 @@ from .errors import (
     SupportsNotDisjointError,
 )
 from .groups import FiniteGroup
-from .matrix import ExactMatrix, SparseOperator, amplify
-from .rmatrix import RMatrix, yb_rep_perm
+from .matrix import ExactMatrix, SparseOperator, amplify, gate_product
+from .perms import adjacent_word
+from .rmatrix import RMatrix
 from .wreath import WreathElement
 
 
 class YangBaxterCouple:
     """A certified (pi, R) pair over a finite group."""
 
-    __slots__ = ("group", "r", "pi", "w", "_op_cache")
+    __slots__ = ("group", "r", "pi", "w")
 
     def __init__(self, group: FiniteGroup, r: RMatrix, pi: tuple[ExactMatrix, ...],
                  w: int, _certified: bool = False):
@@ -49,7 +50,6 @@ class YangBaxterCouple:
         self.r = r
         self.pi = pi
         self.w = w
-        self._op_cache: dict = {}
 
     @property
     def d(self) -> int:
@@ -57,24 +57,6 @@ class YangBaxterCouple:
 
     def layout(self, n: int) -> tuple[int, ...]:
         return (self.w,) + (self.d,) * n
-
-    def _r_at(self, i: int, n: int) -> SparseOperator:
-        """1_W (x) R acting on the V-slots (i, i+1) at level n."""
-        key = ("r", i, n)
-        op = self._op_cache.get(key)
-        if op is None:
-            op = amplify(self.r.m, self.layout(n), i, i + 2)
-            self._op_cache[key] = op
-        return op
-
-    def _pi_at_origin(self, t: int, n: int) -> SparseOperator:
-        """pi(t) on W (x) V_1, identity on the remaining factors."""
-        key = ("pi", t, n)
-        op = self._op_cache.get(key)
-        if op is None:
-            op = amplify(self.pi[t], self.layout(n), 0, 2)
-            self._op_cache[key] = op
-        return op
 
     def __repr__(self) -> str:
         return f"YangBaxterCouple({self.group.name}, d={self.d}, w={self.w})"
@@ -114,48 +96,22 @@ def certify_couple(group: FiniteGroup, r: RMatrix, pi_images, w: int) -> YangBax
 def rep_element(c: YangBaxterCouple, g: WreathElement, n: int) -> SparseOperator:
     """The image of a wreath element on W (x) V^(x n).
 
-    The color part is the product over colored positions i of the conjugate
-    of pi(t_i) into slot i by R_(i-1) ... R_1; the permutation part is the
-    Yang-Baxter image of the permutation, tensored with the identity on W.
+    The color part is the product over colored positions i, in increasing
+    order, of R_(i-1) ... R_1 pi(t_i) R_1 ... R_(i-1); the permutation part
+    is R at the slots of the adjacent-transposition word of the
+    permutation, with the identity on W.  Both parts form one gate word.
     """
     if c.group != g.group:
         raise GroupMismatchError("element is over a different group than the couple")
     if g.max_support() > n:
         raise SupportExceedsLevelError(f"support reaches {g.max_support()}, level is {n}")
-    total: SparseOperator | None = None
-    if g.colors:
-        left: SparseOperator | None = None    # R_(i-1) ... R_1
-        right: SparseOperator | None = None   # R_1 ... R_(i-1)
-        depth = 0
-        for i in sorted(g.colors):
-            while depth < i - 1:
-                depth += 1
-                r_op = c._r_at(depth, n)
-                left = r_op if left is None else r_op * left
-                right = r_op if right is None else right * r_op
-            factor = c._pi_at_origin(g.colors[i], n)
-            if left is not None:
-                factor = left * factor * right
-            total = factor if total is None else total * factor
-    if not g.perm.is_identity():
-        perm_op = amplified_perm(c, g.perm, n)
-        total = perm_op if total is None else total * perm_op
-    if total is None:
-        return SparseOperator.identity(c.w * c.d ** n)
-    return total
-
-
-def amplified_perm(c: YangBaxterCouple, perm, n: int) -> SparseOperator:
-    """1_W (x) (Yang-Baxter image of the permutation on V^(x n))."""
-    inner = yb_rep_perm(c.r, perm, n)
-    if c.w == 1:
-        return inner
-    rows = []
-    for b in range(c.w):
-        base = b * inner.dim
-        for row in inner.rows:
-            rows.append([(base + j, v) for j, v in row])
-    return SparseOperator(c.w * inner.dim, rows)
+    r = c.r.m
+    word = []
+    for i in sorted(g.colors):
+        stairs = [(r, j, j + 2) for j in range(1, i)]  # R_1 ... R_(i-1)
+        word += stairs[::-1] + [(c.pi[g.colors[i]], 0, 2)] + stairs
+    word += [(r, j, j + 2) for j in adjacent_word(g.perm, n)]
+    return gate_product(c.layout(n), word)
 
 
 def character(c: YangBaxterCouple, g: WreathElement) -> CycloScalar:
@@ -205,6 +161,10 @@ class PsdReport:
 def gram_psd_check(c: YangBaxterCouple, elements) -> PsdReport:
     """Gram matrix of character values: exact Hermitian check, then a
     float embedding and an eigenvalue bound."""
+    # imported here: this probe is numpy's only user, and no CLI command
+    # should pay for the import
+    import numpy as np
+
     elems = list(elements)
     if len(elems) > 12:
         raise ValueError("gram check is limited to 12 elements")

@@ -23,6 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .errors import FieldArithmeticError
+
 Rational = Fraction
 
 
@@ -86,7 +88,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     num[0], num[n] = -1, 1
     for d in _divisors(n)[:-1]:
         q, rem = _poly_divmod_int(num, list(cyclotomic_polynomial(d)))
-        assert rem == [0], f"z^{n}-1 not divisible by Phi_{d}"
+        if rem != [0]:
+            raise FieldArithmeticError(
+                f"z^{n} - 1 leaves the remainder {rem} on division by Phi_{d}")
         num = q
     return tuple(num)
 
@@ -350,7 +354,9 @@ class CycloScalar:
         a = [Fraction(c, self.den) for c in self.nums]
         phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
         g, u = _poly_egcd(a, phi_poly)
-        assert len(g) == 1 and g[0] != 0, "cyclotomic polynomial must be coprime to nonzero element"
+        if len(g) != 1 or g[0] == 0:
+            raise FieldArithmeticError(
+                f"gcd of {self} and Phi_{self.n} is {[str(c) for c in g]}, not a nonzero constant")
         inv_coeffs = [c / g[0] for c in u]
         fld = _field(self.n)
         inv_coeffs += [Fraction(0)] * (fld.phi - len(inv_coeffs))

@@ -21,6 +21,10 @@ class DimensionMismatchError(YbwError):
     pass
 
 
+class FieldArithmeticError(YbwError):
+    """An identity of the exact cyclotomic arithmetic failed: a bug, not bad input."""
+
+
 class NotInvolutiveError(YbwError):
     pass
 

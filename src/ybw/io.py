@@ -4,8 +4,8 @@ Rationals are serialized as strings "p/q" (or "p" for integers), never as
 floats, so files round-trip bit-exactly across languages.  A scalar is
 either such a string or {"N": conductor, "c": [coefficient strings]} with
 phi(N) power-basis coordinates and N <= MAX_CONDUCTOR.  Matrices list
-nonzero entries only.  Files carry a "format": 1 version field; it may be
-omitted on input.
+nonzero entries only and have at most MAX_MATRIX_DIM rows and columns.
+Files carry a "format": 1 version field; it may be omitted on input.
 
 Decoding validates shapes and ranges and raises SchemaError with the JSON
 path of the offending node.  Certification (group axioms, R-matrix laws,
@@ -37,6 +37,12 @@ FORMAT_VERSION = 1
 # unbounded N lets a 128-byte file hang the decoder in totient().  The
 # catalog, the corpus and the tests use N <= 12.
 MAX_CONDUCTOR = 1000
+
+# Largest dim_rows or dim_cols a matrix may declare.  Decoding allocates the
+# dense matrix before it reads an entry, so memory grows with the square of
+# the declared size; 1024 admits R-matrices up to d = 32 (about 8 MB of row
+# slots), while 10^5 x 10^5 would ask for about 80 GB.
+MAX_MATRIX_DIM = 1024
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -97,6 +103,8 @@ def matrix_from_json(obj, path: str) -> ExactMatrix:
     rows, cols = obj["dim_rows"], obj["dim_cols"]
     if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
         raise SchemaError(path, f"bad dimensions {rows!r} x {cols!r}")
+    if rows > MAX_MATRIX_DIM or cols > MAX_MATRIX_DIM:
+        raise SchemaError(path, f"dimensions {rows} x {cols} exceed the limit {MAX_MATRIX_DIM}")
     if not isinstance(obj["conductor"], int) or obj["conductor"] < 1:
         raise SchemaError(f"{path}.conductor", "conductor must be a positive integer")
     if not isinstance(obj["entries"], list):

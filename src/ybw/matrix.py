@@ -7,8 +7,11 @@ all follow it.
 
 SparseOperator is the working representation for operators on spaces of
 three or more factors; the images of group elements are signed
-block-permutation-like, so rows stay short and composition stays
-near-linear in the dimension.
+block-permutation-like, so rows stay short.  Such an image is a word of
+local gates, each an operator on a few contiguous factors, and
+gate_product evaluates the word by applying the gates in place, without
+materializing any amplified gate and without caching operators between
+calls.
 """
 
 from __future__ import annotations
@@ -31,19 +34,22 @@ class TensorIndex:
         return prod(self.dims)
 
     def encode(self, digits) -> int:
-        assert len(digits) == len(self.dims)
+        if len(digits) != len(self.dims):
+            raise DimensionMismatchError(f"{len(digits)} digits for the factors {self.dims}")
         out = 0
-        for x, d in zip(digits, self.dims):
-            assert 0 <= x < d
+        for k, (x, d) in enumerate(zip(digits, self.dims)):
+            if not 0 <= x < d:
+                raise DimensionMismatchError(f"digit {x} of factor {k} is outside 0..{d - 1}")
             out = out * d + x
         return out
 
     def decode(self, index: int) -> tuple[int, ...]:
+        if not 0 <= index < self.size:
+            raise DimensionMismatchError(f"basis index {index} is outside 0..{self.size - 1}")
         out = []
         for d in reversed(self.dims):
             out.append(index % d)
             index //= d
-        assert index == 0
         return tuple(reversed(out))
 
 
@@ -307,19 +313,49 @@ def amplify(op: ExactMatrix, dims, start: int, stop: int) -> SparseOperator:
     ``op`` acts on the contiguous factor slots [start, stop) of a space with
     the given factor dimensions.
     """
+    return gate_product(dims, [(op, start, stop)])
+
+
+def gate_product(dims, word) -> SparseOperator:
+    """The product G_1 ... G_k of the gates (op, start, stop) in ``word``.
+
+    Each gate is ``op`` on the factor slots [start, stop), the identity on
+    the rest.  The gates are applied from the left, last one first, so no
+    amplified gate is ever materialized: row (p, m, s) of G T combines the
+    rows (p, c, s) of T over the nonzero entries (m, c) of ``op``, and a
+    row of ``op`` with one unit entry copies a run of rows as one slice.
+    """
     dims = tuple(dims)
-    mid = prod(dims[start:stop])
-    if op.rows != op.cols or op.rows != mid:
-        raise DimensionMismatchError(
-            f"operator of dim {op.rows} cannot act on factors {start}..{stop} of {dims}")
-    pre = prod(dims[:start])
-    post = prod(dims[stop:])
-    op_rows = [[(j, v) for j, v in enumerate(row) if not v.is_zero()] for row in op.data]
-    rows: list[list[tuple[int, CycloScalar]]] = []
-    for p in range(pre):
-        pbase = p * mid
-        for m in range(mid):
-            entries = op_rows[m]
-            for s in range(post):
-                rows.append([((pbase + c) * post + s, v) for c, v in entries])
-    return SparseOperator(pre * mid * post, rows)
+    total = prod(dims)
+    rows = SparseOperator.identity(total).rows
+    # id(op) -> nonzero entries of each row; words repeat R many times
+    sparse: dict[int, list] = {}
+    for op, start, stop in reversed(word):
+        mid = prod(dims[start:stop])
+        if op.rows != op.cols or op.rows != mid:
+            raise DimensionMismatchError(
+                f"operator of dim {op.rows} cannot act on factors {start}..{stop} of {dims}")
+        op_rows = sparse.get(id(op))
+        if op_rows is None:
+            op_rows = [[(j, v) for j, v in enumerate(row) if not v.is_zero()] for row in op.data]
+            sparse[id(op)] = op_rows
+        post = prod(dims[stop:])
+        out: list[list[tuple[int, CycloScalar]]] = []
+        for base in range(0, total // post, mid):
+            for entries in op_rows:
+                if len(entries) == 1:
+                    # row lists are immutable by convention, so sharing is safe
+                    c, v = entries[0]
+                    lo = (base + c) * post
+                    run = rows[lo:lo + post]
+                    out += run if v.is_one() else [[(j, v * b) for j, b in row] for row in run]
+                    continue
+                for s in range(post):
+                    acc: dict[int, CycloScalar] = {}
+                    for c, v in entries:
+                        for j, b in rows[(base + c) * post + s]:
+                            prev = acc.get(j)
+                            acc[j] = v * b if prev is None else prev + v * b
+                    out.append(sorted((j, x) for j, x in acc.items() if not x.is_zero()))
+        rows = out
+    return SparseOperator(total, rows)

@@ -9,8 +9,8 @@ extraction of Thoma parameters from cycle traces.
 
 Cycle traces are evaluated by contracting the staircase product
 R_1 R_2 ... R_(n-1) down to a transfer operator on V (x) V, so the cost is
-polynomial in dim V instead of exponential in n.  The literal product of
-amplified operators gives the same values and is kept as the test oracle.
+polynomial in dim V instead of exponential in n.  The full image of the
+cycle (yb_rep_perm) gives the same trace and is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     SupportExceedsLevelError,
     YBEFailsError,
 )
-from .matrix import ExactMatrix, SparseOperator, amplify
+from .matrix import ExactMatrix, SparseOperator, amplify, gate_product
 from .perms import FinitePermutation, adjacent_word
 
 
@@ -80,24 +80,14 @@ class ThomaParams:
 class RMatrix:
     """A certified involutive Yang-Baxter solution on V (x) V, dim V = d."""
 
-    __slots__ = ("d", "m", "_amp_cache", "_cycle_traces")
+    __slots__ = ("d", "m", "_cycle_traces")
 
     def __init__(self, d: int, m: ExactMatrix, _certified: bool = False):
         if not _certified:
             raise TypeError("use verify_rmatrix() to construct a certified RMatrix")
         self.d = d
         self.m = m
-        self._amp_cache: dict[tuple[int, int], SparseOperator] = {}
         self._cycle_traces: list[CycloScalar] = []
-
-    def amplified(self, i: int, n: int) -> SparseOperator:
-        """R acting on tensor slots (i, i+1) of V^(x n), 1-based."""
-        key = (i, n)
-        op = self._amp_cache.get(key)
-        if op is None:
-            op = amplify(self.m, (self.d,) * n, i - 1, i + 1)
-            self._amp_cache[key] = op
-        return op
 
     def __repr__(self) -> str:
         return f"RMatrix(d={self.d})"
@@ -184,17 +174,12 @@ def normal_form_from_thoma(t: ThomaParams, d: int) -> RMatrix:
 
 
 def yb_rep_perm(r: RMatrix, sigma: FinitePermutation, n: int) -> SparseOperator:
-    """The image of a finite permutation on V^(x n)."""
+    """The image of a finite permutation on V^(x n): R on the tensor slots
+    (i, i+1), 1-based, for each letter s_i of its adjacent-transposition word."""
     if sigma.max_support() > n:
         raise SupportExceedsLevelError(
             f"permutation moves {sigma.max_support()} but the level is {n}")
-    word = adjacent_word(sigma, n)
-    if not word:
-        return SparseOperator.identity(r.d ** n)
-    op = r.amplified(word[0], n)
-    for i in word[1:]:
-        op = op * r.amplified(i, n)
-    return op
+    return gate_product((r.d,) * n, [(r.m, i - 1, i + 1) for i in adjacent_word(sigma, n)])
 
 
 def _transfer_data(r: RMatrix):

@@ -4,13 +4,9 @@ from ybw.cli import corpus_dir
 from ybw.construct import build_couple
 from ybw.io import params_from_json, read_json_file
 
-CORPUS_PARAM_FILES = (
-    "z2_half_half.params.json",
-    "s3_std.params.json",
-    "s3_triv_std.params.json",
-    "z3_eps_mix.params.json",
-    "q8_2dim.params.json",
-)
+# the parameter files listed by the corpus manifest, in its order
+CORPUS_PARAM_FILES = tuple(
+    item["file"] for item in read_json_file(corpus_dir() / "expectations.json")["params"])
 
 
 @pytest.fixture(scope="session")

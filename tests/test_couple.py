@@ -232,3 +232,12 @@ def test_wider_ambient_space(z2):
     couple = certify_couple(z2, r, [ExactMatrix.identity(4), pi_s], 2)
     assert character(couple, WreathElement.identity(z2)) == 1
     assert character(couple, WreathElement(z2, {1: 1})) == 0
+    # a colored transposition lifts the permutation to W (x) V (x) V: dense
+    # oracle with pi(s) on slots 1-2 and R on slots 2-3 of the layout (2, 2, 2)
+    g = WreathElement(z2, {1: 1, 2: 1}, FinitePermutation.transposition(1, 2))
+    eye = ExactMatrix.identity(2)
+    pi1 = pi_s.kron(eye)
+    r1 = eye.kron(r.m)
+    dense = pi1 * (r1 * pi1 * r1) * r1
+    assert rep_element(couple, g, 2).to_dense() == dense
+    assert character(couple, g) == Fraction(1, 2) == dense.trace() / 8

@@ -66,6 +66,10 @@ def test_matrix_schema_errors():
         codecs.matrix_from_json({**base, "entries": [[0, 0, "1"], [0, 0, "2"]]}, "t")
     with pytest.raises(SchemaError, match="rational"):
         codecs.matrix_from_json({**base, "entries": [[0, 0, "0.5"]]}, "t")
+    with pytest.raises(SchemaError, match=r"^t: dimensions 100000 x 100000 exceed"):
+        # rejected before the dense matrix is allocated
+        codecs.matrix_from_json({**base, "dim_rows": 10 ** 5, "dim_cols": 10 ** 5,
+                                 "entries": []}, "t")
 
 
 def test_group_and_irrep_roundtrip():
@@ -223,6 +227,15 @@ def test_cli_verify_theorem(capsys):
     code, out, _ = run_cli(capsys, "verify-theorem", params, "--samples", "15", "--seed", "7")
     assert code == 0
     assert "15 sampled elements agree exactly" in out
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_cli_verify_theorem_rejects_no_samples(capsys, samples):
+    # a check over no sampled elements would pass with nothing checked
+    params = str(corpus_dir() / "z2_half_half.params.json")
+    code, out, err = run_cli(capsys, "verify-theorem", params, "--samples", samples)
+    assert code == 2 and out == ""
+    assert err == f"error: malformed input: --samples: must be a positive integer, got {samples}\n"
 
 
 def test_cli_element(tmp_path, capsys):

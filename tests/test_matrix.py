@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -10,6 +11,7 @@ from ybw.matrix import (
     TensorIndex,
     amplify,
     flip_operator,
+    gate_product,
     kron,
     matmul,
 )
@@ -43,6 +45,17 @@ def test_tensor_index_roundtrip():
     for k in range(24):
         assert layout.encode(layout.decode(k)) == k
     assert layout.encode((1, 2, 3)) == 1 * 12 + 2 * 4 + 3
+
+
+def test_tensor_index_errors_name_the_witness():
+    layout = TensorIndex((2, 3, 4))
+    with pytest.raises(DimensionMismatchError, match="2 digits"):
+        layout.encode((1, 2))
+    with pytest.raises(DimensionMismatchError, match="digit 3 of factor 1"):
+        layout.encode((1, 3, 0))
+    for bad in (24, -1):
+        with pytest.raises(DimensionMismatchError, match=f"basis index {bad} "):
+            layout.decode(bad)
 
 
 def test_identity_matmul():
@@ -153,6 +166,37 @@ def test_amplify_examples():
     op2 = amplify(f, (2, 2, 2, 2), 1, 3)
     dense = kron(kron(ExactMatrix.identity(2), f), ExactMatrix.identity(2))
     assert op2.to_dense() == dense
+
+
+def test_gate_product_matches_dense_kron_oracle():
+    # G_1 ... G_k against the dense product of I_pre (x) op (x) I_post
+    inv_sqrt2 = (zeta(8) + zeta(8, 7)) / 2
+    h = ExactMatrix.from_entries(2, 2, {(0, 0): inv_sqrt2, (0, 1): inv_sqrt2,
+                                        (1, 0): inv_sqrt2, (1, 1): -inv_sqrt2})
+    hh = kron(h, h)
+    special = {
+        2: [h],
+        # a non-monomial R (the Hadamard-conjugated flip) and a pi with two
+        # entries in every row
+        4: [hh * flip_operator(2, 2) * hh.dagger(), kron(h, ExactMatrix.diag([1, zeta(4)]))],
+    }
+    rng = Lcg64(61)
+    for dims in ((2, 2, 2), (1, 2, 2, 2), (2, 3, 2)):
+        for _ in range(12):
+            word = []
+            dense = ExactMatrix.identity(prod(dims))
+            for _ in range(rng.below(5)):
+                start = rng.below(len(dims))
+                stop = start + 1 + rng.below(len(dims) - start)
+                pre, mid, post = (prod(dims[:start]), prod(dims[start:stop]),
+                                  prod(dims[stop:]))
+                choices = special.get(mid, []) + [
+                    random_signed_permutation(rng, mid), random_matrix(rng, mid, mid, 8)]
+                op = choices[rng.below(len(choices))]
+                word.append((op, start, stop))
+                dense = dense * kron(kron(ExactMatrix.identity(pre), op),
+                                     ExactMatrix.identity(post))
+            assert gate_product(dims, word).to_dense() == dense, (dims, word)
 
 
 def test_amplify_dimension_check():

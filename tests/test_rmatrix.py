@@ -11,7 +11,7 @@ from ybw.errors import (
     SupportExceedsLevelError,
     YBEFailsError,
 )
-from ybw.matrix import ExactMatrix, flip_operator, kron
+from ybw.matrix import ExactMatrix, amplify, flip_operator, kron
 from ybw.perms import FinitePermutation
 from ybw.rmatrix import (
     ThomaParams,
@@ -150,8 +150,7 @@ def test_rep_word_independence_on_three_cycle():
     r = plus_minus()
     c3 = FinitePermutation.cycle(3)
     via_word = yb_rep_perm(r, c3, 3)
-    s1 = r.amplified(1, 3)
-    s2 = r.amplified(2, 3)
+    s1, s2 = (amplify(r.m, (2, 2, 2), i, i + 2) for i in (0, 1))
     assert via_word == s1 * s2
     assert via_word == s2 * s1 * s2 * s1
     assert s1 * s2 * s1 == s2 * s1 * s2  # braid relation on images
