@@ -10,7 +10,7 @@ import sys
 import time
 
 from ybw.cli import corpus_dir
-from ybw.construct import build_couple, end_to_end_check
+from ybw.construct import end_to_end_check
 from ybw.couple import verify_extremality
 from ybw.hirai import is_yb_admissible
 from ybw.io import params_from_json, read_json_file
@@ -47,7 +47,7 @@ def main():
             g, lhs, rhs = result.char_mismatches[0]
             print(f"{name}: at {g!r} the trace gives {lhs}, the closed form {rhs}")
             sys.exit(1)
-        couple, _ = build_couple(params)
+        couple = result.couple
         pair_rng = Lcg64(args.seed + 1)
         pairs = [pair_rng.disjoint_pair(params.group) for _ in range(args.pairs)]
         ext = verify_extremality(couple, pairs)

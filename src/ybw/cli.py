@@ -268,21 +268,20 @@ def cmd_selftest(args, report: Report) -> None:
         want_beta = tuple(codecs.rational_from_str(v, item["file"]) for v in item["beta"])
         report.add(f"{item['file']}: restriction", restriction.alpha == want_alpha
                    and restriction.beta == want_beta, str(restriction))
-        couple, _ = build_couple(params)
-        extracted = extract_thoma(couple.r)
-        report.add(f"{item['file']}: extracted thoma", extracted == restriction, str(extracted))
+        rng = Lcg64(rng_seed)
+        sample = [rng.wreath_element(params.group, 1, 4) for _ in range(item.get("samples", 5))]
+        result = end_to_end_check(params, sample)
+        report.add(f"{item['file']}: extracted thoma", result.thoma_built == restriction,
+                   str(result.thoma_built))
         for k, check in enumerate(item.get("chars", [])):
             g = codecs.element_from_json(check["element"], params.group,
                                          f"{item['file']}.chars[{k}]")
             want = codecs.scalar_from_json(check["value"], f"{item['file']}.chars[{k}].value")
             closed = closed_form_character(params, g)
-            trace = character(couple, g)
+            trace = character(result.couple, g)
             ok = closed == want and trace == want
             report.add(f"{item['file']}: char[{k}]", ok,
                        f"closed {closed}, trace {trace}, expected {want}")
-        rng = Lcg64(rng_seed)
-        sample = [rng.wreath_element(params.group, 1, 4) for _ in range(item.get("samples", 5))]
-        result = end_to_end_check(params, sample)
         report.add(f"{item['file']}: end to end", result.ok,
                    f"{result.samples} samples")
 

@@ -107,13 +107,10 @@ def block_thoma(dim_v: int, eps: int) -> ThomaParams:
 
 
 def build_couple(p: HiraiParams, d: int | None = None) -> tuple[YangBaxterCouple, BlockLayout]:
-    """Assemble and certify the couple for an admissible parameter set."""
-    adm = is_yb_admissible(p)
-    if not adm.verdict:
-        raise NonIntegralBlocksError(
-            f"parameters are not admissible: {', '.join(adm.violations)}")
+    """Assemble and certify the couple for an admissible parameter set;
+    build_layout rejects parameters that are not admissible."""
     if d is None:
-        d = adm.minimal_d
+        d = is_yb_admissible(p).minimal_d
     layout = build_layout(p, d)
     parts = [certified_block_rmatrix(b.dim_v, b.dim_w, b.eps) for b in layout.blocks]
     r = boxplus(*parts)
@@ -148,6 +145,7 @@ def _check_exchange_identity(c: YangBaxterCouple) -> None:
 
 @dataclass
 class EndToEndReport:
+    couple: YangBaxterCouple
     samples: int
     char_mismatches: list[tuple[WreathElement, CycloScalar, CycloScalar]]
     thoma_built: ThomaParams
@@ -164,7 +162,8 @@ class EndToEndReport:
 
 def end_to_end_check(p: HiraiParams, sample, d: int | None = None) -> EndToEndReport:
     """Trace character of the built couple against the closed form, exactly,
-    plus agreement of the extracted Thoma weights with the restriction."""
+    plus agreement of the extracted Thoma weights with the restriction.
+    The report carries the couple, so callers need not build it again."""
     couple, _ = build_couple(p, d)
     mismatches = []
     count = 0
@@ -174,4 +173,5 @@ def end_to_end_check(p: HiraiParams, sample, d: int | None = None) -> EndToEndRe
         rhs = closed_form_character(p, g)
         if lhs != rhs:
             mismatches.append((g, lhs, rhs))
-    return EndToEndReport(count, mismatches, extract_thoma(couple.r), thoma_restriction(p))
+    return EndToEndReport(couple, count, mismatches, extract_thoma(couple.r),
+                          thoma_restriction(p))

@@ -27,6 +27,7 @@ from .errors import (
     GroupMismatchError,
     NotHomomorphismError,
     NotUnitaryError,
+    OperatorTooLargeError,
     SupportExceedsLevelError,
     SupportsNotDisjointError,
 )
@@ -35,6 +36,13 @@ from .matrix import ExactMatrix, SparseOperator, amplify, gate_product
 from .perms import adjacent_word
 from .rmatrix import RMatrix
 from .wreath import WreathElement
+
+# The largest dimension w * d^n of an image rep_element builds.  An image
+# holds one row list per basis vector, and every gate of the word passes
+# over all of them: at the limit (d = 4, level 8) an element colored at
+# every position takes about 14 s and 49 MB.  Tier-1, the scripts and the
+# benchmark workloads stay at or below 4096 (d = 4 at level 6).
+MAX_OPERATOR_DIM = 1 << 16
 
 
 class YangBaxterCouple:
@@ -100,11 +108,19 @@ def rep_element(c: YangBaxterCouple, g: WreathElement, n: int) -> SparseOperator
     order, of R_(i-1) ... R_1 pi(t_i) R_1 ... R_(i-1); the permutation part
     is R at the slots of the adjacent-transposition word of the
     permutation, with the identity on W.  Both parts form one gate word.
+    An image of dimension w * d^n above MAX_OPERATOR_DIM raises
+    OperatorTooLargeError before anything is allocated.
     """
     if c.group != g.group:
         raise GroupMismatchError("element is over a different group than the couple")
     if g.max_support() > n:
         raise SupportExceedsLevelError(f"support reaches {g.max_support()}, level is {n}")
+    # d >= 2 passes the limit within its bit length of factors, so the
+    # capped exponent decides the check without forming d^n for a huge n
+    if c.w * c.d ** min(n, MAX_OPERATOR_DIM.bit_length()) > MAX_OPERATOR_DIM:
+        raise OperatorTooLargeError(
+            f"the image on W (x) V^(x {n}) has dimension w*d^n = {c.w}*{c.d}^{n}, "
+            f"above the limit MAX_OPERATOR_DIM = {MAX_OPERATOR_DIM}")
     r = c.r.m
     word = []
     for i in sorted(g.colors):

@@ -47,6 +47,11 @@ class SupportExceedsLevelError(YbwError):
     pass
 
 
+class OperatorTooLargeError(YbwError):
+    """An operator would exceed its documented size limit; the message names
+    the requested size and the limit."""
+
+
 class NotAGroupError(YbwError):
     pass
 
@@ -72,10 +77,6 @@ class NotIrreducibleError(YbwError):
 
 
 class GroupMismatchError(YbwError):
-    pass
-
-
-class NotRepresentationError(YbwError):
     pass
 
 

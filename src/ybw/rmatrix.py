@@ -7,8 +7,10 @@ acts on mixed tensors), normal forms realizing prescribed Thoma parameters,
 the induced representations of finite permutations on V^(x n), and exact
 extraction of Thoma parameters from cycle traces.
 
-Cycle traces are evaluated by contracting the staircase product
-R_1 R_2 ... R_(n-1) down to a transfer operator on V (x) V, so the cost is
+Cycle traces are powers of one d x d matrix: the trace of the staircase
+product R_1 R_2 ... R_(n-1) on V^(x n) is tr(T^(n-1)) for the partial
+trace T = Tr_2(R), because a certified R satisfies
+R (1 (x) T) = (T (x) 1) R (see cycle_trace_sequence).  The cost is
 polynomial in dim V instead of exponential in n.  The full image of the
 cycle (yb_rep_perm) gives the same trace and is kept as the test oracle.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
-from .cyclo import CycloScalar, ONE, MINUS_ONE
+from .cyclo import CycloScalar, ONE, MINUS_ONE, ZERO
 from .errors import (
     DimensionMismatchError,
     NoMatchError,
@@ -182,62 +184,35 @@ def yb_rep_perm(r: RMatrix, sigma: FinitePermutation, n: int) -> SparseOperator:
     return gate_product((r.d,) * n, [(r.m, i - 1, i + 1) for i in adjacent_word(sigma, n)])
 
 
-def _transfer_data(r: RMatrix):
-    """Start vector, transfer columns and end vector for cycle traces."""
-    d = r.d
-    m = r.m.data
-    zero = CycloScalar.from_rational(0)
-    start = [zero] * (d * d)
-    end = [zero] * (d * d)
-    for i in range(d):
-        for mm in range(d):
-            acc_s = zero
-            acc_e = zero
-            for x in range(d):
-                acc_s = acc_s + m[x * d + i][x * d + mm]
-                acc_e = acc_e + m[mm * d + x][i * d + x]
-            start[i * d + mm] = acc_s
-            end[i * d + mm] = acc_e
-    cols: list[list[tuple[int, CycloScalar]]] = [[] for _ in range(d * d)]
-    for i1 in range(d):
-        for m1 in range(d):
-            col = cols[i1 * d + m1]
-            for i2 in range(d):
-                row = m[m1 * d + i2]
-                for m2 in range(d):
-                    v = row[i1 * d + m2]
-                    if not v.is_zero():
-                        col.append((i2 * d + m2, v))
-    return start, cols, end
-
-
 def cycle_trace(r: RMatrix, n: int) -> CycloScalar:
-    """Trace of R_1 R_2 ... R_(n-1) on V^(x n), by transfer contraction."""
+    """Trace of R_1 R_2 ... R_(n-1) on V^(x n); see cycle_trace_sequence."""
     traces = cycle_trace_sequence(r, n)
     return traces[n - 2]
 
 
 def cycle_trace_sequence(r: RMatrix, n_max: int) -> list[CycloScalar]:
-    """Traces of the cycle operators for n = 2 .. n_max (index n-2)."""
+    """Traces of the cycle operators for n = 2 .. n_max (index n-2).
+
+    With T = Tr_2(R) the partial trace over the second factor,
+    T[i][j] = sum_x R[(i,x),(j,x)], the trace of R_1 ... R_(n-1) is
+    tr(T^(n-1)) (Lechner-Pennig-Wood).  A certified R satisfies
+    R (1 (x) T) = (T (x) 1) R, hence Tr_2(R (1 (x) T^k)) = T^(k+1), and
+    tracing out the last factor of R_1 ... R_(n-1) T_n^k, which keeps the
+    trace, leaves R_1 ... R_(n-2) T_(n-1)^(k+1).  Repeating down to one
+    factor gives tr(T^(n-1)), at a cost polynomial in d.
+    """
     cached = r._cycle_traces
     if len(cached) >= n_max - 1:
         return cached[: n_max - 1]
-    start, cols, end = _transfer_data(r)
-    zero = CycloScalar.from_rational(0)
-    out: list[CycloScalar] = [r.m.trace()]
-    vec = start
+    d = r.d
+    m = r.m.data
+    t = ExactMatrix(d, d, [[sum((m[i * d + x][j * d + x] for x in range(d)), ZERO)
+                            for j in range(d)] for i in range(d)])
+    power = t
+    out = [t.trace()]
     for _ in range(3, n_max + 1):
-        acc = zero
-        for v, e in zip(vec, end):
-            if not v.is_zero() and not e.is_zero():
-                acc = acc + v * e
-        out.append(acc)
-        nxt = [zero] * len(vec)
-        for src, v in enumerate(vec):
-            if not v.is_zero():
-                for dst, w in cols[src]:
-                    nxt[dst] = nxt[dst] + v * w
-        vec = nxt
+        power = power * t
+        out.append(power.trace())
     r._cycle_traces = out
     return out[: n_max - 1]
 

@@ -62,6 +62,13 @@ def test_layout_rejects_non_integral():
         build_layout(p, 3)
 
 
+def test_build_rejects_parameters_that_are_not_admissible():
+    p = params_for("z2", {("triv", 0): [Fraction(1, 2)]})
+    for d in (None, 2):
+        with pytest.raises(NonIntegralBlocksError, match="not admissible: mass_not_one"):
+            build_couple(p, d)
+
+
 def test_block_rmatrix_smallest():
     assert block_rmatrix(1, 1, 0) == ExactMatrix.identity(1)
     assert block_rmatrix(1, 2, 1) == ExactMatrix.identity(4).scaled(-1)
@@ -179,6 +186,8 @@ def test_end_to_end_report():
     report = end_to_end_check(p, sample)
     assert report.ok and report.samples == 25
     assert report.thoma_built == report.thoma_expected
+    # the report carries the couple it built and checked
+    assert report.couple.d == 2 and extract_thoma(report.couple.r) == report.thoma_built
 
 
 def test_end_to_end_with_d_override():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ybw.couple import (
+    MAX_OPERATOR_DIM,
     certify_couple,
     character,
     gram_psd_check,
@@ -13,6 +14,7 @@ from ybw.cyclo import CycloScalar
 from ybw.errors import (
     ExtendedREFailsError,
     NotUnitaryError,
+    OperatorTooLargeError,
     SupportExceedsLevelError,
     SupportsNotDisjointError,
 )
@@ -151,6 +153,18 @@ def test_rep_multiplicative(pm_couple, z2):
 def test_rep_support_check(pm_couple, z2):
     with pytest.raises(SupportExceedsLevelError):
         rep_element(pm_couple, WreathElement(z2, {4: 1}), 3)
+
+
+def test_rep_element_rejects_an_image_above_the_limit(pm_couple, z2):
+    # d = 2, w = 1: level 16 is exactly the limit, level 17 is above it
+    assert MAX_OPERATOR_DIM == 2 ** 16
+    assert rep_element(pm_couple, WreathElement.identity(z2), 16).dim == 2 ** 16
+    for n in (17, 40, 10 ** 9):  # 2^(10^9) must not be formed
+        with pytest.raises(OperatorTooLargeError,
+                           match=rf"w\*d\^n = 1\*2\^{n}, above the limit MAX_OPERATOR_DIM = 65536"):
+            rep_element(pm_couple, WreathElement(z2, {n: 1}), n)
+    with pytest.raises(OperatorTooLargeError):
+        character(pm_couple, WreathElement(z2, {40: 1}))
 
 
 def test_character_identity(pm_couple, z2):

@@ -222,6 +222,20 @@ def test_cli_build_and_char(tmp_path, capsys):
     assert code == 0
 
 
+def test_cli_char_rejects_an_image_above_the_limit(tmp_path, capsys):
+    # q8 builds d = 4, so a color at position 40 asks for a 4^40-dimensional
+    # image; it is refused before anything is allocated
+    params = str(corpus_dir() / "q8_2dim.params.json")
+    out_file = tmp_path / "couple.json"
+    code, _, _ = run_cli(capsys, "build", params, "--out", str(out_file))
+    assert code == 0
+    elt = tmp_path / "elt.json"
+    elt.write_text(json.dumps({"colors": {"40": 2}, "cycles": []}))
+    code, out, _ = run_cli(capsys, "char", str(out_file), "--element", str(elt))
+    assert code == 1
+    assert "FAIL verification" in out and "w*d^n = 1*4^40" in out and "MAX_OPERATOR_DIM" in out
+
+
 def test_cli_verify_theorem(capsys):
     params = str(corpus_dir() / "s3_std.params.json")
     code, out, _ = run_cli(capsys, "verify-theorem", params, "--samples", "15", "--seed", "7")

@@ -41,6 +41,35 @@ def plus_minus():
     return boxplus(scalar_rmatrix(1, +1), scalar_rmatrix(1, -1))
 
 
+def q_twisted_flip(q):
+    """R e_i (x) e_j = q[i][j] e_j (x) e_i; q[i][j] q[j][i] = 1, |q[i][j]| = 1."""
+    d = len(q)
+    return verify_rmatrix(ExactMatrix.from_entries(
+        d * d, d * d, {(j * d + i, i * d + j): q[i][j] for i in range(d) for j in range(d)}), d)
+
+
+def lyubashenko(f):
+    """The set-theoretic solution (x, y) -> (f(y), f^-1(x)) for a permutation f."""
+    d = len(f)
+    f_inv = {y: x for x, y in enumerate(f)}
+    return verify_rmatrix(ExactMatrix.from_entries(
+        d * d, d * d, {(f[y] * d + f_inv[x], x * d + y): 1 for x in range(d) for y in range(d)}), d)
+
+
+def tensor_product(a, b):
+    """R_a (x) R_b on (V_a (x) V_b)^(x 2), with the middle factors swapped into place."""
+    swap = kron(kron(ExactMatrix.identity(a.d), flip_operator(b.d, a.d)), ExactMatrix.identity(b.d))
+    return verify_rmatrix(swap.dagger() * kron(a.m, b.m) * swap, a.d * b.d)
+
+
+def partial_trace(r):
+    """T = Tr_2(R): T[i][j] = sum_x R[(i,x),(j,x)]."""
+    d = r.d
+    return ExactMatrix.from_entries(d, d, {
+        (i, j): sum((r.m.data[i * d + x][j * d + x] for x in range(d)), scalar(0))
+        for i in range(d) for j in range(d)})
+
+
 # -- certification ----------------------------------------------------
 
 
@@ -205,7 +234,18 @@ def test_char_flip():
 
 
 def test_char_matches_materialized_trace():
-    # the transfer contraction against the literal product of amplified operators
+    # tr(T^(n-1)) for the partial trace T = Tr_2(R) against the literal
+    # image of the n-cycle; the identity behind it, R (1 (x) T) = (T (x) 1) R,
+    # is checked on every case
+    i4 = zeta(4)
+    q3 = [[1, zeta(3), i4], [zeta(3, 2), -1, -1], [-i4, -1, 1]]
+    q2 = [[-1, i4], [-i4, 1]]
+    # a unitary over Q(i) mixing the + block {0} with the - block {1, 2}
+    u = ExactMatrix.from_entries(3, 3, {(0, 0): Fraction(3, 5), (0, 1): Fraction(4, 5) * i4,
+                                        (1, 0): Fraction(4, 5) * i4, (1, 1): Fraction(3, 5),
+                                        (2, 2): 1})
+    uu = kron(u, u)
+    one_two = normal_form_from_thoma(ThomaParams.make([Fraction(1, 3)], [Fraction(2, 3)]), 3)
     cases = [
         verify_rmatrix(flip_operator(2, 2), 2),
         plus_minus(),
@@ -213,8 +253,16 @@ def test_char_matches_materialized_trace():
         normal_form_from_thoma(ThomaParams.make([Fraction(1, 2), Fraction(1, 4)],
                                                 [Fraction(1, 4)]), 4),
         verify_rmatrix(flip_operator(3, 3), 3),
+        q_twisted_flip(q3),
+        lyubashenko([1, 2, 0]),
+        boxplus(q_twisted_flip(q2), lyubashenko([1, 0])),
+        tensor_product(q_twisted_flip(q2), lyubashenko([1, 0])),
+        verify_rmatrix(uu * one_two.m * uu.dagger(), 3),
     ]
     for r in cases:
+        t = partial_trace(r)
+        one = ExactMatrix.identity(r.d)
+        assert r.m * kron(one, t) == kron(t, one) * r.m, r
         for n in range(2, 7):
             op = yb_rep_perm(r, FinitePermutation.cycle(n), n)
             assert op.trace() == cycle_trace(r, n), (r, n)
@@ -282,7 +330,7 @@ def test_extract_names_the_witness_of_doctored_traces(d, traces, witness):
 
 def test_round_trip_exhaustive_d6():
     # the acceptance gate stops at d = 5; the d = 6 layer (65 partition
-    # pairs) is cheap with the transfer contraction
+    # pairs) is cheap with powers of the partial trace
     for params, r in normal_forms_of_dim(6):
         assert extract_thoma(r) == params
 
