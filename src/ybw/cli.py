@@ -185,7 +185,14 @@ def cmd_hirai_char(args, report: Report) -> None:
     report.add("hirai character", True, f"{value} = {value.to_complex():.6g}")
 
 
+def _check_positive(option: str, value) -> None:
+    # zero samples would pass with nothing checked; d <= 0 has no space V
+    if value is not None and value <= 0:
+        raise SchemaError(option, f"must be a positive integer, got {value}")
+
+
 def cmd_build(args, report: Report) -> None:
+    _check_positive("--d", args.d)
     params = _load_params(args.file, report)
     couple, layout = build_couple(params, args.d)
     blocks = ", ".join(f"({b.label},{b.eps},{b.index}):{b.dim_v}x{b.dim_w}"
@@ -225,9 +232,8 @@ def cmd_char(args, report: Report) -> None:
 
 
 def cmd_verify_theorem(args, report: Report) -> None:
-    if args.samples <= 0:
-        # zero samples would pass with nothing checked
-        raise SchemaError("--samples", f"must be a positive integer, got {args.samples}")
+    _check_positive("--samples", args.samples)
+    _check_positive("--d", args.d)
     params = _load_params(args.file, report)
     rng = Lcg64(args.seed)
     sample = [rng.wreath_element(params.group, 1, 5) for _ in range(args.samples)]

@@ -11,9 +11,11 @@ extremal character evaluated here exactly.
 
 The image of a wreath element is one word of local gates, pi(t) on
 W (x) V_1 and R on adjacent V-slots, evaluated by matrix.gate_product;
-no operator is kept between calls.  Character values are computed at the
-truncation level n = max(support, 1); they are independent of any larger
-level because the operators act as the identity on appended factors.
+no operator is kept between calls.  Certification checks the equation
+above as X_t pi(t') = pi(t') X_t, where X_t = R1 pi(t) R1 is a gate word.
+Character values are computed at the truncation level n = max(support, 1);
+they are independent of any larger level because the operators act as the
+identity on appended factors.
 """
 
 from __future__ import annotations
@@ -72,7 +74,9 @@ class YangBaxterCouple:
 
 def certify_couple(group: FiniteGroup, r: RMatrix, pi_images, w: int) -> YangBaxterCouple:
     """Check that pi is a unitary representation on W (x) V and that the
-    extended reflection equation holds over every pair of group elements."""
+    extended reflection equation holds over every pair of group elements,
+    regrouped as X_t pi(u) = pi(u) X_t with X_t = R1 pi(t) R1 built once
+    per t as a gate word: two sparse products per pair (t, u)."""
     pi = tuple(pi_images)
     if len(pi) != group.order:
         raise NotHomomorphismError(
@@ -89,13 +93,12 @@ def certify_couple(group: FiniteGroup, r: RMatrix, pi_images, w: int) -> YangBax
             if pi[a] * pi[b] != pi[group.mul(a, b)]:
                 raise NotHomomorphismError(f"pi({a}) pi({b}) != pi({a}*{b})")
     dims = (w, r.d, r.d)
-    r1 = amplify(r.m, dims, 1, 3)
+    r1 = (r.m, 1, 3)
+    xs = [gate_product(dims, [r1, (m, 0, 2), r1]) for m in pi]
     pi_amp = [amplify(m, dims, 0, 2) for m in pi]
     for t in range(group.order):
         for u in range(group.order):
-            lhs = r1 * pi_amp[t] * r1 * pi_amp[u]
-            rhs = pi_amp[u] * r1 * pi_amp[t] * r1
-            if lhs != rhs:
+            if xs[t] * pi_amp[u] != pi_amp[u] * xs[t]:
                 raise ExtendedREFailsError(
                     f"extended reflection equation fails on the pair ({t},{u})")
     return YangBaxterCouple(group, r, pi, w, _certified=True)

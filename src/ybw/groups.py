@@ -53,6 +53,8 @@ class FiniteGroup:
 
     def _verify(self):
         n = self.order
+        if n == 0:
+            raise NotAGroupError("the table is empty, so it has no identity")
         for i, row in enumerate(self.table):
             if len(row) != n:
                 raise NotAGroupError(f"row {i} has length {len(row)}, expected {n}")

@@ -47,6 +47,11 @@ MAX_MATRIX_DIM = 1024
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def rational_to_str(value: Fraction) -> str:
     return str(Fraction(value))
 
@@ -54,7 +59,10 @@ def rational_to_str(value: Fraction) -> str:
 def rational_from_str(text, path: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise SchemaError(path, f"expected a rational string like '3/4', got {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:  # more digits than int() converts
+        raise SchemaError(path, str(exc)) from None
 
 
 def scalar_to_json(value: CycloScalar):
@@ -71,7 +79,7 @@ def scalar_from_json(obj, path: str) -> CycloScalar:
     if "N" not in obj:
         raise SchemaError(path, "missing conductor field 'N'")
     n = obj["N"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise SchemaError(f"{path}.N", f"conductor must be a positive integer, got {n!r}")
     if n > MAX_CONDUCTOR:
         raise SchemaError(f"{path}.N", f"conductor {n} exceeds the limit {MAX_CONDUCTOR}")
@@ -101,11 +109,11 @@ def matrix_from_json(obj, path: str) -> ExactMatrix:
         if field not in obj:
             raise SchemaError(path, f"missing field {field!r}")
     rows, cols = obj["dim_rows"], obj["dim_cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    if not (_is_int(rows) and _is_int(cols) and rows > 0 and cols > 0):
         raise SchemaError(path, f"bad dimensions {rows!r} x {cols!r}")
     if rows > MAX_MATRIX_DIM or cols > MAX_MATRIX_DIM:
         raise SchemaError(path, f"dimensions {rows} x {cols} exceed the limit {MAX_MATRIX_DIM}")
-    if not isinstance(obj["conductor"], int) or obj["conductor"] < 1:
+    if not _is_int(obj["conductor"]) or obj["conductor"] < 1:
         raise SchemaError(f"{path}.conductor", "conductor must be a positive integer")
     if not isinstance(obj["entries"], list):
         raise SchemaError(f"{path}.entries", "expected a list of [i, j, scalar] triples")
@@ -116,7 +124,7 @@ def matrix_from_json(obj, path: str) -> ExactMatrix:
         if not (isinstance(item, list) and len(item) == 3):
             raise SchemaError(epath, "expected [row, col, scalar]")
         i, j, raw = item
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < rows and 0 <= j < cols):
+        if not (_is_int(i) and _is_int(j) and 0 <= i < rows and 0 <= j < cols):
             raise SchemaError(epath, f"index ({i!r},{j!r}) out of range")
         if (i, j) in seen:
             raise SchemaError(epath, f"duplicate entry for ({i},{j})")
@@ -136,8 +144,11 @@ def group_from_json(obj, path: str) -> FiniteGroup:
         if field not in obj:
             raise SchemaError(path, f"missing field {field!r}")
     table = obj["table"]
-    if not isinstance(table, list) or len(table) != obj["order"]:
+    if not (isinstance(table, list) and _is_int(obj["order"]) and len(table) == obj["order"]):
         raise SchemaError(f"{path}.table", "table size does not match order")
+    for i, row in enumerate(table):
+        if not (isinstance(row, list) and all(_is_int(v) for v in row)):
+            raise SchemaError(f"{path}.table[{i}]", f"expected a list of element indices, got {row!r}")
     return FiniteGroup(str(obj["name"]), table)
 
 
@@ -177,9 +188,9 @@ def element_from_json(obj, group: FiniteGroup, path: str) -> WreathElement:
     if not isinstance(raw_colors, dict):
         raise SchemaError(f"{path}.colors", "expected an object of position -> color index")
     for key, value in raw_colors.items():
-        if not key.isdigit() or int(key) < 1:
+        if not (key.isascii() and key.isdigit()) or int(key) < 1:
             raise SchemaError(f"{path}.colors.{key}", "positions are positive integers")
-        if not isinstance(value, int) or not (0 <= value < group.order):
+        if not _is_int(value) or not (0 <= value < group.order):
             raise SchemaError(f"{path}.colors.{key}", f"color index {value!r} out of range")
         colors[int(key)] = value
     raw_cycles = obj.get("cycles", [])
@@ -187,7 +198,7 @@ def element_from_json(obj, group: FiniteGroup, path: str) -> WreathElement:
         raise SchemaError(f"{path}.cycles", "expected a list of cycles")
     for k, cyc in enumerate(raw_cycles):
         if not (isinstance(cyc, list) and len(cyc) >= 2
-                and all(isinstance(p, int) and p >= 1 for p in cyc)):
+                and all(_is_int(p) and p >= 1 for p in cyc)):
             raise SchemaError(f"{path}.cycles[{k}]", "a cycle is a list of >= 2 positive positions")
     try:
         perm = FinitePermutation.from_cycles(raw_cycles)
@@ -216,6 +227,9 @@ def params_from_json(obj, path: str) -> HiraiParams:
         raise SchemaError(path, "missing field 'group'")
     group = load_group(str(obj["group"]))
     irreps = catalog_irreps(group)
+    for field in ("a", "mu"):
+        if not isinstance(obj.get(field, {}), dict):
+            raise SchemaError(f"{path}.{field}", "expected an object keyed by irrep label")
     a_raw = {}
     for label, by_eps in obj.get("a", {}).items():
         if not isinstance(by_eps, dict):
@@ -245,7 +259,7 @@ def rmatrix_file_from_json(obj, path: str) -> tuple[int, ExactMatrix]:
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an R-matrix object")
     _check_format(obj, path)
-    if "d" not in obj or not isinstance(obj["d"], int) or obj["d"] < 1:
+    if "d" not in obj or not _is_int(obj["d"]) or obj["d"] < 1:
         raise SchemaError(path, "missing or bad field 'd'")
     m = matrix_from_json(obj, path)
     return obj["d"], m
@@ -272,7 +286,7 @@ def couple_file_from_json(obj, path: str):
             raise SchemaError(path, f"missing field {field!r}")
     group = group_from_json(obj["group"], f"{path}.group")
     d, w = obj["d"], obj["w"]
-    if not (isinstance(d, int) and d >= 1 and isinstance(w, int) and w >= 1):
+    if not (_is_int(d) and d >= 1 and _is_int(w) and w >= 1):
         raise SchemaError(path, "'d' and 'w' must be positive integers")
     r = matrix_from_json(obj["r"], f"{path}.r")
     if not isinstance(obj["pi"], list) or len(obj["pi"]) != group.order:
@@ -283,7 +297,7 @@ def couple_file_from_json(obj, path: str):
 
 def _check_format(obj: dict, path: str) -> None:
     version = obj.get("format", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise SchemaError(f"{path}.format", f"unsupported format version {version!r}")
 
 
@@ -291,12 +305,14 @@ def read_json_file(path: str | Path):
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(str(path), f"cannot read file: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
+    except (ValueError, RecursionError) as exc:  # too many digits, or nested too deep
+        raise SchemaError(str(path), str(exc)) from None
 
 
 def write_json_file(path: str | Path, obj) -> None:

@@ -11,7 +11,8 @@ block-permutation-like, so rows stay short.  Such an image is a word of
 local gates, each an operator on a few contiguous factors, and
 gate_product evaluates the word by applying the gates in place, without
 materializing any amplified gate and without caching operators between
-calls.
+calls.  The SparseOperator product is one such gate step (_apply_gate),
+and R-matrix and couple certification run on the same two functions.
 """
 
 from __future__ import annotations
@@ -93,13 +94,7 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        for ra, rb in zip(self.data, other.data):
-            for a, b in zip(ra, rb):
-                if a != b:
-                    return False
-        return True
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
 
     __hash__ = None
 
@@ -172,17 +167,7 @@ class ExactMatrix:
         return out
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        for i in range(self.rows):
-            for j in range(self.cols):
-                v = self.data[i][j]
-                if i == j:
-                    if not v.is_one():
-                        return False
-                elif not v.is_zero():
-                    return False
-        return True
+        return self == ExactMatrix.identity(self.rows)
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
@@ -205,11 +190,8 @@ class SparseOperator:
     def from_dense(cls, m: ExactMatrix) -> SparseOperator:
         if m.rows != m.cols:
             raise DimensionMismatchError("sparse operators are square")
-        rows = []
-        for i in range(m.rows):
-            row = [(j, v) for j, v in enumerate(m.data[i]) if not v.is_zero()]
-            rows.append(row)
-        return cls(m.rows, rows)
+        return cls(m.rows, [[(j, v) for j, v in enumerate(row) if not v.is_zero()]
+                            for row in m.data])
 
     def to_dense(self) -> ExactMatrix:
         out = ExactMatrix.zeros(self.dim, self.dim)
@@ -222,25 +204,7 @@ class SparseOperator:
         if isinstance(other, SparseOperator):
             if self.dim != other.dim:
                 raise DimensionMismatchError(f"matmul dims {self.dim} and {other.dim}")
-            orows = other.rows
-            out = []
-            for row in self.rows:
-                if len(row) == 1:
-                    # dominant case: signed-permutation-like rows; row lists
-                    # are immutable by convention, so sharing is safe
-                    k, a = row[0]
-                    if a.is_one():
-                        out.append(orows[k])
-                    else:
-                        out.append([(j, a * b) for j, b in orows[k]])
-                    continue
-                acc: dict[int, CycloScalar] = {}
-                for k, a in row:
-                    for j, b in orows[k]:
-                        prev = acc.get(j)
-                        acc[j] = a * b if prev is None else prev + a * b
-                out.append(sorted((j, v) for j, v in acc.items() if not v.is_zero()))
-            return SparseOperator(self.dim, out)
+            return SparseOperator(self.dim, _apply_gate(self.rows, other.rows, 1))
         return NotImplemented
 
     def trace(self) -> CycloScalar:
@@ -263,23 +227,13 @@ class SparseOperator:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseOperator):
             return NotImplemented
-        if self.dim != other.dim:
-            return False
-        for ra, rb in zip(self.rows, other.rows):
-            if len(ra) != len(rb):
-                return False
-            for (ja, va), (jb, vb) in zip(ra, rb):
-                if ja != jb or va != vb:
-                    return False
-        return True
+        # rows are sorted and hold no zeros, so equal rows are equal lists
+        return self.dim == other.dim and self.rows == other.rows
 
     __hash__ = None
 
     def is_identity(self) -> bool:
-        for i, row in enumerate(self.rows):
-            if len(row) != 1 or row[0][0] != i or not row[0][1].is_one():
-                return False
-        return True
+        return self == SparseOperator.identity(self.dim)
 
     def __repr__(self) -> str:
         return f"SparseOperator(dim={self.dim}, nnz={sum(len(r) for r in self.rows)})"
@@ -320,10 +274,8 @@ def gate_product(dims, word) -> SparseOperator:
     """The product G_1 ... G_k of the gates (op, start, stop) in ``word``.
 
     Each gate is ``op`` on the factor slots [start, stop), the identity on
-    the rest.  The gates are applied from the left, last one first, so no
-    amplified gate is ever materialized: row (p, m, s) of G T combines the
-    rows (p, c, s) of T over the nonzero entries (m, c) of ``op``, and a
-    row of ``op`` with one unit entry copies a run of rows as one slice.
+    the rest.  The gates are applied from the left, last one first, by
+    _apply_gate, so no amplified gate is ever materialized.
     """
     dims = tuple(dims)
     total = prod(dims)
@@ -337,25 +289,34 @@ def gate_product(dims, word) -> SparseOperator:
                 f"operator of dim {op.rows} cannot act on factors {start}..{stop} of {dims}")
         op_rows = sparse.get(id(op))
         if op_rows is None:
-            op_rows = [[(j, v) for j, v in enumerate(row) if not v.is_zero()] for row in op.data]
-            sparse[id(op)] = op_rows
-        post = prod(dims[stop:])
-        out: list[list[tuple[int, CycloScalar]]] = []
-        for base in range(0, total // post, mid):
-            for entries in op_rows:
-                if len(entries) == 1:
-                    # row lists are immutable by convention, so sharing is safe
-                    c, v = entries[0]
-                    lo = (base + c) * post
-                    run = rows[lo:lo + post]
-                    out += run if v.is_one() else [[(j, v * b) for j, b in row] for row in run]
-                    continue
-                for s in range(post):
-                    acc: dict[int, CycloScalar] = {}
-                    for c, v in entries:
-                        for j, b in rows[(base + c) * post + s]:
-                            prev = acc.get(j)
-                            acc[j] = v * b if prev is None else prev + v * b
-                    out.append(sorted((j, x) for j, x in acc.items() if not x.is_zero()))
-        rows = out
+            op_rows = sparse[id(op)] = SparseOperator.from_dense(op).rows
+        rows = _apply_gate(op_rows, rows, prod(dims[stop:]))
     return SparseOperator(total, rows)
+
+
+def _apply_gate(op_rows, rows, post: int) -> list[list[tuple[int, CycloScalar]]]:
+    """The rows of (1 (x) op (x) 1_post) T from the rows of T and of op.
+
+    Row (p, m, s) combines the rows (p, c, s) of T over the nonzero
+    entries (m, c) of op; a row of op with one entry copies or scales a
+    run of ``post`` rows as one slice.
+    """
+    mid = len(op_rows)
+    out: list[list[tuple[int, CycloScalar]]] = []
+    for base in range(0, len(rows) // post, mid):
+        for entries in op_rows:
+            if len(entries) == 1:
+                # row lists are immutable by convention, so sharing is safe
+                c, v = entries[0]
+                lo = (base + c) * post
+                run = rows[lo:lo + post]
+                out += run if v.is_one() else [[(j, v * b) for j, b in row] for row in run]
+                continue
+            for s in range(post):
+                acc: dict[int, CycloScalar] = {}
+                for c, v in entries:
+                    for j, b in rows[(base + c) * post + s]:
+                        prev = acc.get(j)
+                        acc[j] = v * b if prev is None else prev + v * b
+                out.append(sorted((j, x) for j, x in acc.items() if not x.is_zero()))
+    return out

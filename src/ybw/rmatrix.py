@@ -1,11 +1,12 @@
 """Involutive R-matrices and their Thoma parameters.
 
 An R-matrix here is an involutive solution of the Yang-Baxter braid
-relation on V (x) V, certified by exact checks.  The module provides the
-box-sum composition (summands act on their own diagonal blocks, the flip
-acts on mixed tensors), normal forms realizing prescribed Thoma parameters,
-the induced representations of finite permutations on V^(x n), and exact
-extraction of Thoma parameters from cycle traces.
+relation on V (x) V, certified by exact checks on sparse rows and gate
+words (verify_rmatrix).  The module provides the box-sum composition
+(summands act on their own diagonal blocks, the flip acts on mixed
+tensors), normal forms realizing prescribed Thoma parameters, the induced
+representations of finite permutations on V^(x n), and exact extraction
+of Thoma parameters from cycle traces.
 
 Cycle traces are powers of one d x d matrix: the trace of the staircase
 product R_1 R_2 ... R_(n-1) on V^(x n) is tr(T^(n-1)) for the partial
@@ -31,7 +32,7 @@ from .errors import (
     SupportExceedsLevelError,
     YBEFailsError,
 )
-from .matrix import ExactMatrix, SparseOperator, amplify, gate_product
+from .matrix import ExactMatrix, SparseOperator, gate_product
 from .perms import FinitePermutation, adjacent_word
 
 
@@ -96,30 +97,32 @@ class RMatrix:
 
 
 def verify_rmatrix(m: ExactMatrix, d: int) -> RMatrix:
-    """Certify involutivity, unitarity and the braid relation, exactly."""
+    """Certify involutivity, unitarity and the braid relation, exactly.
+
+    Each check runs on sparse rows: R^2 = 1 on the sparse square of R, then
+    unitarity as R^dagger = R (given R^-1 = R), then R12 R23 R12 =
+    R23 R12 R23 as two gate words, so no amplified R is built.
+    """
     if m.rows != d * d or m.cols != d * d:
         raise DimensionMismatchError(f"expected a {d * d}x{d * d} matrix, got {m.rows}x{m.cols}")
-    sq = m * m
-    for i in range(d * d):
-        for j in range(d * d):
-            v = sq.data[i][j]
+    s = SparseOperator.from_dense(m)
+    for i, row in enumerate((s * s).rows):
+        entries = dict(row)
+        entries.setdefault(i, ZERO)
+        for j, v in sorted(entries.items()):
             if (i == j and not v.is_one()) or (i != j and not v.is_zero()):
                 raise NotInvolutiveError(
                     f"R^2 is not the identity: image of basis vector {j} has a wrong "
                     f"coefficient at {i}")
-    ud = m.dagger() * m
-    if not ud.is_identity():
+    if s.dagger() != s:
         raise NotUnitaryError("R is not unitary")
     dims = (d, d, d)
-    r12 = amplify(m, dims, 0, 2)
-    r23 = amplify(m, dims, 1, 3)
-    lhs = r12 * r23 * r12
-    rhs = r23 * r12 * r23
-    if lhs != rhs:
-        for idx, (ra, rb) in enumerate(zip(lhs.rows, rhs.rows)):
-            if ra != rb:
-                raise YBEFailsError(
-                    f"braid relation fails: row {idx} of R12 R23 R12 and R23 R12 R23 differ")
+    lhs = gate_product(dims, [(m, 0, 2), (m, 1, 3), (m, 0, 2)])
+    rhs = gate_product(dims, [(m, 1, 3), (m, 0, 2), (m, 1, 3)])
+    for idx, (ra, rb) in enumerate(zip(lhs.rows, rhs.rows)):
+        if ra != rb:
+            raise YBEFailsError(
+                f"braid relation fails: row {idx} of R12 R23 R12 and R23 R12 R23 differ")
     return RMatrix(d, m, _certified=True)
 
 

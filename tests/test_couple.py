@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from ybw.couple import (
     rep_element,
     verify_extremality,
 )
-from ybw.cyclo import CycloScalar
+from ybw.cyclo import CycloScalar, zeta
 from ybw.errors import (
     ExtendedREFailsError,
     NotUnitaryError,
@@ -19,7 +20,7 @@ from ybw.errors import (
     SupportsNotDisjointError,
 )
 from ybw.groups import load_group
-from ybw.matrix import ExactMatrix, SparseOperator, flip_operator
+from ybw.matrix import ExactMatrix, SparseOperator, amplify, flip_operator
 from ybw.perms import FinitePermutation
 from ybw.rmatrix import boxplus, scalar_rmatrix, verify_rmatrix
 from ybw.rng import Lcg64
@@ -83,6 +84,89 @@ def test_extended_re_violation_detected(z2):
     swap = ExactMatrix.from_entries(2, 2, {(0, 1): 1, (1, 0): 1})
     with pytest.raises(ExtendedREFailsError):
         certify_couple(z2, r, [ExactMatrix.identity(2), swap], 1)
+
+
+def amplified_ere_failure(group, r, pi, w):
+    """The first pair (t, u) on which R1 pi(t) R1 pi(u) = pi(u) R1 pi(t) R1
+    fails as six products of amplified operators (criterion 5), or None."""
+    dims = (w, r.d, r.d)
+    r1 = amplify(r.m, dims, 1, 3)
+    amp = [amplify(m, dims, 0, 2) for m in pi]
+    for t in range(group.order):
+        for u in range(group.order):
+            if r1 * amp[t] * r1 * amp[u] != amp[u] * r1 * amp[t] * r1:
+                return t, u
+    return None
+
+
+def seeded_cyclic_pi(rng, order, size):
+    """pi(k) = P^k for a monomial unitary P with P^order = 1: cycles of
+    length order and fixed points, with order-th roots of unity as phases."""
+    roots = [zeta(order, k) for k in range(order)]
+    points = rng.sample(range(size), size)
+    entries = {}
+    while points:
+        if len(points) >= order and rng.random() < 0.6:
+            cyc = [points.pop() for _ in range(order)]
+            phases = [rng.choice(roots) for _ in cyc[1:]]
+            last = roots[0]
+            for v in phases:
+                last = last * v.conj()
+            for a, b, v in zip(cyc, cyc[1:] + cyc[:1], phases + [last]):
+                entries[b, a] = v
+        else:
+            a = points.pop()
+            entries[a, a] = rng.choice(roots)
+    gen = ExactMatrix.from_entries(size, size, entries)
+    pi = [ExactMatrix.identity(size)]
+    for _ in range(order - 1):
+        pi.append(pi[-1] * gen)
+    return pi
+
+
+def seeded_klein_pi(rng, size):
+    """pi on klein4 from two commuting signed involutions: A diagonal, B
+    swapping points on which A has the same sign."""
+    signs = [rng.choice((1, -1)) for _ in range(size)]
+    entries = {}
+    for sign in (1, -1):
+        points = [i for i in range(size) if signs[i] == sign]
+        rng.shuffle(points)
+        while points:
+            a, v = points.pop(), rng.choice((1, -1))
+            b = points.pop() if points and rng.random() < 0.7 else a
+            entries[a, b] = entries[b, a] = v
+    a, b = ExactMatrix.diag(signs), ExactMatrix.from_entries(size, size, entries)
+    return [ExactMatrix.identity(size), a, b, a * b]
+
+
+def test_certify_couple_names_the_pair_of_the_amplified_oracle():
+    # the regrouped check X_t pi(u) = pi(u) X_t must fail on the same first
+    # pair as the six-product sweep, or pass where it passes.  On a cyclic
+    # group only (1, 1) can fail first; klein4 has two generators.
+    rs = [verify_rmatrix(flip_operator(2, 2), 2), scalar_rmatrix(2, +1), scalar_rmatrix(2, -1),
+          boxplus(scalar_rmatrix(1, +1), scalar_rmatrix(1, -1)),
+          boxplus(scalar_rmatrix(1, -1), scalar_rmatrix(1, -1))]
+    rng = random.Random(2408)
+    outcomes = set()
+    for name in ("z2", "z3", "klein4"):
+        group = load_group(name)
+        for _ in range(60):
+            w, r = rng.choice((1, 2)), rng.choice(rs)
+            if name == "klein4":
+                pi = seeded_klein_pi(rng, w * r.d)
+            else:
+                pi = seeded_cyclic_pi(rng, group.order, w * r.d)
+            expected = amplified_ere_failure(group, r, pi, w)
+            try:
+                certify_couple(group, r, pi, w)
+                got = None
+            except ExtendedREFailsError as exc:
+                got = str(exc)
+            assert got == (expected and "extended reflection equation fails on the pair "
+                                        f"({expected[0]},{expected[1]})"), (name, w, r.m.data)
+            outcomes.add(expected)
+    assert None in outcomes and len(outcomes) > 3
 
 
 def test_rep_identity(pm_couple, z2):

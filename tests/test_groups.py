@@ -37,6 +37,9 @@ def test_broken_associativity_rejected():
     table[1][1] = 1
     with pytest.raises(NotAGroupError):
         load_group(table)
+    # an empty table has no identity; it must not certify a couple vacuously
+    with pytest.raises(NotAGroupError, match="empty"):
+        load_group([])
 
 
 def test_user_table_accepted():

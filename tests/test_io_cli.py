@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,10 @@ def test_scalar_schema_errors():
     with pytest.raises(SchemaError, match=r"^t\.N: conductor .* exceeds"):
         # rejected before phi(N) is computed by trial division
         codecs.scalar_from_json({"N": 1000000000000000003, "c": ["1"]}, "t")
+    with pytest.raises(SchemaError, match=r"^t\.N: conductor must be a positive integer, got True"):
+        codecs.scalar_from_json({"N": True, "c": ["1"]}, "t")
+    with pytest.raises(SchemaError, match=r"^t: Exceeds the limit"):
+        codecs.scalar_from_json("1" * 5000, "t")
 
 
 def test_matrix_roundtrip():
@@ -70,6 +75,17 @@ def test_matrix_schema_errors():
         # rejected before the dense matrix is allocated
         codecs.matrix_from_json({**base, "dim_rows": 10 ** 5, "dim_cols": 10 ** 5,
                                  "entries": []}, "t")
+    # JSON booleans are not integers
+    with pytest.raises(SchemaError, match=r"^t: bad dimensions True x 2"):
+        codecs.matrix_from_json({**base, "dim_rows": True, "entries": []}, "t")
+    with pytest.raises(SchemaError, match=r"^t\.conductor: "):
+        codecs.matrix_from_json({**base, "conductor": True, "entries": []}, "t")
+    with pytest.raises(SchemaError, match=r"^t\.entries\[0\]: index \(True,0\) out of range"):
+        codecs.matrix_from_json({**base, "entries": [[True, 0, "1"]]}, "t")
+    with pytest.raises(SchemaError, match=r"^t: missing or bad field 'd'"):
+        codecs.rmatrix_file_from_json({**base, "d": True, "entries": []}, "t")
+    with pytest.raises(SchemaError, match=r"^t\.format: "):
+        codecs.rmatrix_file_from_json({**base, "format": True, "d": 1, "entries": []}, "t")
 
 
 def test_group_and_irrep_roundtrip():
@@ -96,6 +112,13 @@ def test_element_schema_errors():
         codecs.element_from_json({"colors": {}, "cycles": [[3]]}, g, "t")
     with pytest.raises(SchemaError, match="disjoint"):
         codecs.element_from_json({"colors": {}, "cycles": [[1, 2], [2, 3]]}, g, "t")
+    # "²".isdigit() holds, but int("²") raises
+    with pytest.raises(SchemaError, match=r"^t\.colors\.²: positions are positive integers"):
+        codecs.element_from_json({"colors": {"²": 1}}, g, "t")
+    with pytest.raises(SchemaError, match=r"^t\.colors\.1: color index True out of range"):
+        codecs.element_from_json({"colors": {"1": True}}, g, "t")
+    with pytest.raises(SchemaError, match=r"^t\.cycles\[0\]: "):
+        codecs.element_from_json({"cycles": [[True, 2]]}, g, "t")
 
 
 def test_params_roundtrip():
@@ -106,6 +129,40 @@ def test_params_roundtrip():
     assert again.a == p.a and again.mu == p.mu
     # canonical form is byte-stable
     assert codecs.dumps(encoded) == codecs.dumps(codecs.params_to_json(again))
+
+
+@pytest.mark.parametrize("field", ["a", "mu"])
+def test_params_schema_errors(field):
+    with pytest.raises(SchemaError, match=rf"^t\.{field}: expected an object"):
+        codecs.params_from_json({"group": "z2", field: []}, "t")
+
+
+def test_couple_schema_errors():
+    obj = codecs.couple_file_to_json(load_group("z2"), 1, 1, ExactMatrix.identity(1),
+                                     [ExactMatrix.identity(1)] * 2)
+    table = obj["group"]["table"]
+    for path, bad, witness in [
+        ("t.group.table[1]", {**obj, "group": {**obj["group"], "table": [table[0], ["a", 0]]}},
+         "expected a list of element indices, got ['a', 0]"),
+        ("t.group.table[1]", {**obj, "group": {**obj["group"], "table": [table[0], "ab"]}},
+         "expected a list of element indices, got 'ab'"),
+        ("t.group.table", {**obj, "group": {**obj["group"], "order": True, "table": [[0]]}},
+         "table size does not match order"),
+        ("t", {**obj, "w": True}, "'d' and 'w' must be positive integers"),
+    ]:
+        with pytest.raises(SchemaError, match=f"^{re.escape(path)}: {re.escape(witness)}"):
+            codecs.couple_file_from_json(bad, "t")
+
+
+def test_read_json_file_errors(tmp_path):
+    cases = [(b'{"d": ' + b"1" * 5000 + b"}", "Exceeds the limit"),
+             (b"[" * 100000 + b"]" * 100000, "maximum recursion depth"),
+             (b"\xff\xfe\x00", "cannot read file")]
+    for k, (raw, witness) in enumerate(cases):
+        path = tmp_path / f"{k}.json"
+        path.write_bytes(raw)
+        with pytest.raises(SchemaError, match=witness):
+            codecs.read_json_file(path)
 
 
 def test_format_version_rejected():
@@ -250,6 +307,17 @@ def test_cli_verify_theorem_rejects_no_samples(capsys, samples):
     code, out, err = run_cli(capsys, "verify-theorem", params, "--samples", samples)
     assert code == 2 and out == ""
     assert err == f"error: malformed input: --samples: must be a positive integer, got {samples}\n"
+
+
+@pytest.mark.parametrize("command", ["build", "verify-theorem"])
+@pytest.mark.parametrize("d", ["0", "-2"])
+def test_cli_rejects_a_dimension_below_one(tmp_path, capsys, command, d):
+    # --d 0 divided by zero and --d -2 reported a failed R^2 check
+    params = str(corpus_dir() / "z2_half_half.params.json")
+    extra = ["--out", str(tmp_path / "c.json")] if command == "build" else []
+    code, out, err = run_cli(capsys, command, params, "--d", d, *extra)
+    assert code == 2 and out == ""
+    assert err == f"error: malformed input: --d: must be a positive integer, got {d}\n"
 
 
 def test_cli_element(tmp_path, capsys):

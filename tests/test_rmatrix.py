@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from ybw.errors import (
     NoMatchError,
     NonIntegralBlocksError,
     NotInvolutiveError,
+    NotUnitaryError,
     SupportExceedsLevelError,
     YBEFailsError,
 )
@@ -96,6 +98,85 @@ def test_non_involutive_rejected():
     m = ExactMatrix.diag([1, 2, Fraction(1, 2), 1])
     with pytest.raises(NotInvolutiveError):
         verify_rmatrix(m, 2)
+
+
+def dense_verify_outcome(m, d):
+    """verify_rmatrix's verdict from dense products: R^2 and R^dagger R as
+    ExactMatrix products, the braid relation with kron."""
+    sq = m * m
+    for i in range(d * d):
+        for j in range(d * d):
+            v = sq.data[i][j]
+            if (i == j and not v.is_one()) or (i != j and not v.is_zero()):
+                return NotInvolutiveError, (f"R^2 is not the identity: image of basis vector "
+                                            f"{j} has a wrong coefficient at {i}")
+    if not (m.dagger() * m).is_identity():
+        return NotUnitaryError, "R is not unitary"
+    one = ExactMatrix.identity(d)
+    r12, r23 = kron(m, one), kron(one, m)
+    lhs, rhs = r12 * r23 * r12, r23 * r12 * r23
+    for idx, (ra, rb) in enumerate(zip(lhs.data, rhs.data)):
+        if ra != rb:
+            return YBEFailsError, (f"braid relation fails: row {idx} of R12 R23 R12 and "
+                                   f"R23 R12 R23 differ")
+    return None, ""
+
+
+def seeded_candidates(rng, d):
+    """A signed permutation, a signed involution, an involutive R that is
+    not unitary, and a dense random matrix, all on C^d (x) C^d."""
+    n = d * d
+    unit = [scalar(1), scalar(-1)]
+    perm = rng.sample(range(n), n)
+    yield ExactMatrix.from_entries(n, n, {(perm[j], j): rng.choice(unit) for j in range(n)})
+    points = rng.sample(range(n), n)
+    entries = {}
+    while points:
+        a = points.pop()
+        if points and rng.random() < 0.7:
+            b = points.pop()
+            phase = rng.choice(unit + [zeta(4)])
+            entries[a, b] = phase
+            # the conjugate phase keeps R^2 = 1 and R unitary; a flipped
+            # sign breaks both
+            entries[b, a] = phase.conj() if rng.random() < 0.8 else -phase.conj()
+        else:
+            entries[a, a] = rng.choice(unit)
+    yield ExactMatrix.from_entries(n, n, entries)
+    if n > 1:
+        # [[1, c], [0, -1]] on two basis vectors, the identity elsewhere
+        a, b = rng.sample(range(n), 2)
+        entries = {(i, i): 1 for i in range(n)}
+        entries[b, b] = -1
+        entries[a, b] = rng.choice([1, -1, Fraction(1, 2), zeta(4)])
+        yield ExactMatrix.from_entries(n, n, entries)
+    values = [0, 0, 0, 1, -1, zeta(4), Fraction(1, 2)]
+    yield ExactMatrix.from_entries(n, n, {(i, j): rng.choice(values)
+                                          for i in range(n) for j in range(n)})
+
+
+def test_verify_rmatrix_matches_the_dense_oracle():
+    # the sparse checks must give the dense products' verdict and message
+    cases = [(ExactMatrix.diag([1, 1, 1, -1]), 2), (ExactMatrix.diag([1, 2, Fraction(1, 2), 1]), 2),
+             (ExactMatrix.from_entries(4, 4, {(0, 0): 1, (0, 1): 1, (1, 1): -1,
+                                              (2, 2): 1, (3, 3): 1}), 2),
+             (hadamard_conjugated_flip().m, 2), (flip_operator(3, 3), 3),
+             (q_twisted_flip([[1, zeta(3)], [zeta(3, 2), 1]]).m, 2), (lyubashenko([1, 2, 0]).m, 3)]
+    rng = random.Random(2408)
+    for _ in range(100):
+        for d in (1, 2, 3):
+            cases += [(m, d) for m in seeded_candidates(rng, d)]
+    seen = set()
+    for m, d in cases:
+        expected = dense_verify_outcome(m, d)
+        try:
+            verify_rmatrix(m, d)
+            got = (None, "")
+        except (NotInvolutiveError, NotUnitaryError, YBEFailsError) as exc:
+            got = (type(exc), str(exc))
+        assert got == expected, (m.data, d)
+        seen.add(expected[0])
+    assert seen == {None, NotInvolutiveError, NotUnitaryError, YBEFailsError}
 
 
 # -- boxplus ----------------------------------------------------------
