@@ -13,9 +13,12 @@ The image of a wreath element is one word of local gates, pi(t) on
 W (x) V_1 and R on adjacent V-slots, evaluated by matrix.gate_product;
 no operator is kept between calls.  Certification checks the equation
 above as X_t pi(t') = pi(t') X_t, where X_t = R1 pi(t) R1 is a gate word.
-Character values are computed at the truncation level n = max(support, 1);
-they are independent of any larger level because the operators act as the
-identity on appended factors.
+Character values do not depend on the truncation level, because the
+operators act as the identity on appended factors, nor on the element
+within its conjugacy class.  So a character is evaluated at the compact
+conjugate of the element (wreath.compact_conjugator), at level
+n = max(|support|, 1), by matrix.gate_trace; rep_element stays the
+literal image at any level n >= max(support).
 """
 
 from __future__ import annotations
@@ -34,16 +37,18 @@ from .errors import (
     SupportsNotDisjointError,
 )
 from .groups import FiniteGroup
-from .matrix import ExactMatrix, SparseOperator, amplify, gate_product
+from .matrix import ExactMatrix, SparseOperator, amplify, gate_product, gate_trace
 from .perms import adjacent_word
 from .rmatrix import RMatrix
-from .wreath import WreathElement
+from .wreath import WreathElement, compact_conjugator
 
-# The largest dimension w * d^n of an image rep_element builds.  An image
-# holds one row list per basis vector, and every gate of the word passes
-# over all of them: at the limit (d = 4, level 8) an element colored at
-# every position takes about 14 s and 49 MB.  Tier-1, the scripts and the
-# benchmark workloads stay at or below 4096 (d = 4 at level 6).
+# The largest dimension w * d^n of an image rep_element builds or character
+# traces (at level |supp| there).  An image holds one row list per basis
+# vector, and every gate of the word passes over all of them: at the limit
+# (d = 4, level 8) an element colored at every position takes about 14 s
+# and 49 MB in rep_element, and 0.1 s and 5 MB in character on a monomial
+# couple.  Tier-1, the scripts and the benchmark workloads stay at or below
+# 4096 (d = 4 at level 6).
 MAX_OPERATOR_DIM = 1 << 16
 
 
@@ -114,6 +119,12 @@ def rep_element(c: YangBaxterCouple, g: WreathElement, n: int) -> SparseOperator
     An image of dimension w * d^n above MAX_OPERATOR_DIM raises
     OperatorTooLargeError before anything is allocated.
     """
+    word = _image_word(c, g, n)
+    return gate_product(c.layout(n), word)
+
+
+def _image_word(c: YangBaxterCouple, g: WreathElement, n: int) -> list:
+    """The gate word of rep_element, after its checks."""
     if c.group != g.group:
         raise GroupMismatchError("element is over a different group than the couple")
     if g.max_support() > n:
@@ -130,14 +141,21 @@ def rep_element(c: YangBaxterCouple, g: WreathElement, n: int) -> SparseOperator
         stairs = [(r, j, j + 2) for j in range(1, i)]  # R_1 ... R_(i-1)
         word += stairs[::-1] + [(c.pi[g.colors[i]], 0, 2)] + stairs
     word += [(r, j, j + 2) for j in adjacent_word(g.perm, n)]
-    return gate_product(c.layout(n), word)
+    return word
 
 
 def character(c: YangBaxterCouple, g: WreathElement) -> CycloScalar:
-    """Normalized trace of the image of g, evaluated at the minimal level."""
-    n = max(g.max_support(), 1)
-    op = rep_element(c, g, n)
-    return op.trace() / (c.w * c.d ** n)
+    """Normalized trace of the image of g.
+
+    The trace is taken at the compact conjugate h = k g k^-1 of
+    wreath.compact_conjugator, on n = max(|supp g|, 1) tensor factors, by
+    matrix.gate_trace: conjugation leaves the trace unchanged.
+    """
+    k = compact_conjugator(g)
+    h = k * g * k.inverse()
+    n = max(h.max_support(), 1)
+    word = _image_word(c, h, n)
+    return gate_trace(c.layout(n), word) / (c.w * c.d ** n)
 
 
 @dataclass

@@ -128,6 +128,12 @@ def _field(n: int) -> _Field:
     return _Field(n)
 
 
+@lru_cache(maxsize=None)
+def _root_index(n: int) -> dict[tuple[int, ...], int]:
+    """k by the conductor-n coordinates of zeta_n^k."""
+    return {row: k for k, row in enumerate(_field(n).red)}
+
+
 def _poly_egcd(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     # returns (g, u) with u*a = g mod b and g a nonzero constant when
     # gcd(a, b) = 1; coefficients low-to-high
@@ -264,6 +270,23 @@ class CycloScalar:
 
     def __bool__(self) -> bool:
         return not self.is_zero()
+
+    def root_exponent(self, m: int) -> int | None:
+        """The e in 0..m-1 with self = zeta_m^e, or None when self is not a
+        root of unity.  The roots of unity of Q(zeta_n) are the +-zeta_n^k,
+        so m must be even and a multiple of the conductor n."""
+        if m % 2 or m % self.n:
+            raise ValueError(f"zeta_{m} does not generate the roots of unity of Q(zeta_{self.n})")
+        if self.den != 1:
+            return None
+        if self.n == 1:
+            return {1: 0, -1: m // 2}.get(self.nums[0])
+        index = _root_index(self.n)
+        k = index.get(self.nums)
+        if k is not None:
+            return k * (m // self.n)
+        k = index.get(tuple(-c for c in self.nums))
+        return None if k is None else (k * (m // self.n) + m // 2) % m
 
     # -- ring operations -----------------------------------------------
 
@@ -466,6 +489,28 @@ MINUS_ONE = CycloScalar.from_rational(-1)
 
 def zeta(n: int, k: int = 1) -> CycloScalar:
     return CycloScalar.zeta(n, k)
+
+
+def root_sum(counts, n: int) -> CycloScalar:
+    """sum_e counts[e] * zeta_m^e, m = len(counts) = lcm(2, n), expressed in
+    the conductor-n power basis (zeta_2n = -zeta_n^((n+1)/2) for odd n)."""
+    m = len(counts)
+    if m != lcm(2, n):
+        raise ValueError(f"{m} exponent counts for conductor {n}, expected {lcm(2, n)}")
+    red = _field(n).red
+    nums = [0] * len(red[0])
+    for e, count in enumerate(counts):
+        if not count:
+            continue
+        f = e * (2 * n // m)  # the exponent of zeta_2n
+        if f % 2 == 0:
+            row = red[f // 2]
+        else:
+            row, count = red[(f + n) // 2 % n], -count
+        for j, c in enumerate(row):
+            if c:
+                nums[j] += count * c
+    return CycloScalar._make(n, nums, 1)
 
 
 def scalar(value) -> CycloScalar:

@@ -4,7 +4,9 @@ Rationals are serialized as strings "p/q" (or "p" for integers), never as
 floats, so files round-trip bit-exactly across languages.  A scalar is
 either such a string or {"N": conductor, "c": [coefficient strings]} with
 phi(N) power-basis coordinates and N <= MAX_CONDUCTOR.  Matrices list
-nonzero entries only and have at most MAX_MATRIX_DIM rows and columns.
+nonzero entries only and have at most MAX_MATRIX_DIM rows and columns; the
+lcm of the conductors in one R-matrix or couple file is at most
+MAX_CONDUCTOR too.
 Files carry a "format": 1 version field; it may be omitted on input.
 
 Decoding validates shapes and ranges and raises SchemaError with the JSON
@@ -65,6 +67,25 @@ def rational_from_str(text, path: str) -> Fraction:
         raise SchemaError(path, str(exc)) from None
 
 
+class ConductorBound:
+    """The lcm of the conductors decoded so far from one file, kept at or
+    below MAX_CONDUCTOR: arithmetic lifts a product to the lcm of its
+    factors' conductors, so zeta_997 and zeta_991, each under the cap, would
+    build the tables of Q(zeta_988027) on their first product."""
+
+    __slots__ = ("lcm",)
+
+    def __init__(self):
+        self.lcm = 1
+
+    def admit(self, value: CycloScalar, path: str) -> None:
+        total = lcm(self.lcm, value.n)
+        if total > MAX_CONDUCTOR:
+            raise SchemaError(path, f"conductor {value.n} raises the lcm of the file's "
+                                    f"conductors to {total}, above the limit {MAX_CONDUCTOR}")
+        self.lcm = total
+
+
 def scalar_to_json(value: CycloScalar):
     if value.is_rational():
         return rational_to_str(value.as_rational())
@@ -102,7 +123,9 @@ def matrix_to_json(m: ExactMatrix) -> dict:
     return {"dim_rows": m.rows, "dim_cols": m.cols, "conductor": conductor, "entries": entries}
 
 
-def matrix_from_json(obj, path: str) -> ExactMatrix:
+def matrix_from_json(obj, path: str, conductors: ConductorBound | None = None) -> ExactMatrix:
+    """Decode a matrix; ``conductors`` bounds the lcm of the conductors over
+    every matrix that shares it (by default, over this one)."""
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected a matrix object")
     for field in ("dim_rows", "dim_cols", "conductor", "entries"):
@@ -117,6 +140,8 @@ def matrix_from_json(obj, path: str) -> ExactMatrix:
         raise SchemaError(f"{path}.conductor", "conductor must be a positive integer")
     if not isinstance(obj["entries"], list):
         raise SchemaError(f"{path}.entries", "expected a list of [i, j, scalar] triples")
+    if conductors is None:
+        conductors = ConductorBound()
     m = ExactMatrix.zeros(rows, cols)
     seen = set()
     for k, item in enumerate(obj["entries"]):
@@ -129,7 +154,9 @@ def matrix_from_json(obj, path: str) -> ExactMatrix:
         if (i, j) in seen:
             raise SchemaError(epath, f"duplicate entry for ({i},{j})")
         seen.add((i, j))
-        m.data[i][j] = scalar_from_json(raw, epath)
+        value = scalar_from_json(raw, epath)
+        conductors.admit(value, epath)
+        m.data[i][j] = value
     return m
 
 
@@ -288,10 +315,11 @@ def couple_file_from_json(obj, path: str):
     d, w = obj["d"], obj["w"]
     if not (_is_int(d) and d >= 1 and _is_int(w) and w >= 1):
         raise SchemaError(path, "'d' and 'w' must be positive integers")
-    r = matrix_from_json(obj["r"], f"{path}.r")
+    conductors = ConductorBound()
+    r = matrix_from_json(obj["r"], f"{path}.r", conductors)
     if not isinstance(obj["pi"], list) or len(obj["pi"]) != group.order:
         raise SchemaError(f"{path}.pi", f"expected {group.order} pi images")
-    pi = [matrix_from_json(m, f"{path}.pi[{k}]") for k, m in enumerate(obj["pi"])]
+    pi = [matrix_from_json(m, f"{path}.pi[{k}]", conductors) for k, m in enumerate(obj["pi"])]
     return group, d, w, r, pi
 
 

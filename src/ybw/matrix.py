@@ -13,14 +13,17 @@ gate_product evaluates the word by applying the gates in place, without
 materializing any amplified gate and without caching operators between
 calls.  The SparseOperator product is one such gate step (_apply_gate),
 and R-matrix and couple certification run on the same two functions.
+gate_trace gives the trace of a word alone, on a phase-permutation engine
+when every gate is monomial with root-of-unity entries, and through
+gate_product otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import lcm, prod
 
-from .cyclo import ONE, CycloScalar, scalar
+from .cyclo import ONE, CycloScalar, root_sum, scalar
 from .errors import DimensionMismatchError
 
 
@@ -273,23 +276,100 @@ def amplify(op: ExactMatrix, dims, start: int, stop: int) -> SparseOperator:
 def gate_product(dims, word) -> SparseOperator:
     """The product G_1 ... G_k of the gates (op, start, stop) in ``word``.
 
-    Each gate is ``op`` on the factor slots [start, stop), the identity on
-    the rest.  The gates are applied from the left, last one first, by
-    _apply_gate, so no amplified gate is ever materialized.
+    Each gate is ``op`` (an ExactMatrix or a SparseOperator) on the factor
+    slots [start, stop), the identity on the rest.  The gates are applied
+    from the left, last one first, by _apply_gate, so no amplified gate is
+    ever materialized.
     """
     dims = tuple(dims)
+    return _product(dims, _sparse_gates(dims, word))
+
+
+def gate_trace(dims, word) -> CycloScalar:
+    """The trace of gate_product(dims, word), on a phase-permutation engine
+    when every gate has one root-of-unity entry per row.
+
+    Such a word maps each basis vector to a root of unity zeta_m^e times
+    another, so the product is a permutation of the basis with exponents
+    mod m: each gate gathers runs of (column, exponent) pairs and adds its
+    rows' exponents, and the trace counts the exponents on the fixed
+    points.  Any other word is evaluated by gate_product.
+    """
+    dims = tuple(dims)
+    gates = _sparse_gates(dims, word)
+    distinct = list({id(rows): rows for rows, _, _ in gates}.values())
+    if not all(len(row) == 1 for rows in distinct for row in rows):
+        return _product(dims, gates).trace()
+    n = lcm(1, *(v.n for rows in distinct for ((_, v),) in rows))
+    m = lcm(2, n)
+    forms = {}
+    for rows in distinct:
+        exps = [v.root_exponent(m) for ((_, v),) in rows]
+        if None in exps:
+            return _product(dims, gates).trace()
+        forms[id(rows)] = ([c for ((c, _),) in rows], exps)
+    # each basis vector holds column << bits | exponent; exponents add up
+    # unreduced, to at most len(gates) * (m - 1), which fits in bits
+    bits = (len(gates) * (m - 1)).bit_length()
+    total = prod(dims)
+    state = [i << bits for i in range(total)]
+    plans: dict[tuple, list] = {}
+    for rows, start, stop in reversed(gates):
+        plan = plans.get((id(rows), start, stop))
+        if plan is None:
+            plan = plans[id(rows), start, stop] = _gather_plan(
+                *forms[id(rows)], prod(dims[:start]), prod(dims[stop:]))
+        out = [0] * total
+        for dst, src, e in plan:
+            run = state[src]
+            out[dst] = [x + e for x in run] if e else run
+        state = out
+    counts = [0] * m
+    mask = (1 << bits) - 1
+    for i, x in enumerate(state):
+        if x >> bits == i:
+            counts[(x & mask) % m] += 1
+    return root_sum(counts, n)
+
+
+def _gather_plan(cols, exps, pre: int, post: int) -> list[tuple[slice, slice, int]]:
+    """Slices (dst, src, exponent) applying a monomial gate, given by the
+    column and exponent of each row, on pre * mid * post basis vectors:
+    row (p, r, s) takes the entry of row (p, cols[r], s) plus exps[r].
+    Runs go along the longer of the p and s axes, so there are few slices."""
+    mid = len(cols)
+    step = mid * post
+    total = pre * step
+    if pre <= post:
+        return [(slice(b * step + r * post, b * step + (r + 1) * post),
+                 slice(b * step + c * post, b * step + (c + 1) * post), e)
+                for b in range(pre) for r, (c, e) in enumerate(zip(cols, exps))]
+    return [(slice(r * post + s, total, step), slice(c * post + s, total, step), e)
+            for s in range(post) for r, (c, e) in enumerate(zip(cols, exps))]
+
+
+def _sparse_gates(dims: tuple[int, ...], word) -> list[tuple[list, int, int]]:
+    """The word with each operator as its sparse rows, converted once per
+    distinct operator (words repeat R many times) and checked against the
+    slots it acts on."""
+    sparse: dict[int, list] = {}
+    gates = []
+    for op, start, stop in word:
+        rows = sparse.get(id(op))
+        if rows is None:
+            as_sparse = op if isinstance(op, SparseOperator) else SparseOperator.from_dense(op)
+            rows = sparse[id(op)] = as_sparse.rows
+        if len(rows) != prod(dims[start:stop]):
+            raise DimensionMismatchError(
+                f"operator of dim {len(rows)} cannot act on factors {start}..{stop} of {dims}")
+        gates.append((rows, start, stop))
+    return gates
+
+
+def _product(dims: tuple[int, ...], gates) -> SparseOperator:
     total = prod(dims)
     rows = SparseOperator.identity(total).rows
-    # id(op) -> nonzero entries of each row; words repeat R many times
-    sparse: dict[int, list] = {}
-    for op, start, stop in reversed(word):
-        mid = prod(dims[start:stop])
-        if op.rows != op.cols or op.rows != mid:
-            raise DimensionMismatchError(
-                f"operator of dim {op.rows} cannot act on factors {start}..{stop} of {dims}")
-        op_rows = sparse.get(id(op))
-        if op_rows is None:
-            op_rows = sparse[id(op)] = SparseOperator.from_dense(op).rows
+    for op_rows, start, stop in reversed(gates):
         rows = _apply_gate(op_rows, rows, prod(dims[stop:]))
     return SparseOperator(total, rows)
 

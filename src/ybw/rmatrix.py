@@ -99,9 +99,10 @@ class RMatrix:
 def verify_rmatrix(m: ExactMatrix, d: int) -> RMatrix:
     """Certify involutivity, unitarity and the braid relation, exactly.
 
-    Each check runs on sparse rows: R^2 = 1 on the sparse square of R, then
-    unitarity as R^dagger = R (given R^-1 = R), then R12 R23 R12 =
-    R23 R12 R23 as two gate words, so no amplified R is built.
+    Each check runs on the sparse rows of R, read off the dense matrix
+    once: R^2 = 1 on the sparse square of R, then unitarity as R^dagger = R
+    (given R^-1 = R), then R12 R23 R12 = R23 R12 R23 as two gate words, so
+    no amplified R is built.
     """
     if m.rows != d * d or m.cols != d * d:
         raise DimensionMismatchError(f"expected a {d * d}x{d * d} matrix, got {m.rows}x{m.cols}")
@@ -117,8 +118,8 @@ def verify_rmatrix(m: ExactMatrix, d: int) -> RMatrix:
     if s.dagger() != s:
         raise NotUnitaryError("R is not unitary")
     dims = (d, d, d)
-    lhs = gate_product(dims, [(m, 0, 2), (m, 1, 3), (m, 0, 2)])
-    rhs = gate_product(dims, [(m, 1, 3), (m, 0, 2), (m, 1, 3)])
+    lhs = gate_product(dims, [(s, 0, 2), (s, 1, 3), (s, 0, 2)])
+    rhs = gate_product(dims, [(s, 1, 3), (s, 0, 2), (s, 1, 3)])
     for idx, (ra, rb) in enumerate(zip(lhs.rows, rhs.rows)):
         if ra != rb:
             raise YBEFailsError(

@@ -86,6 +86,33 @@ class WreathElement:
         return f"Wreath({'{' + ', '.join(parts) + '}'}, {self.perm})"
 
 
+def compact_conjugator(g: WreathElement) -> WreathElement:
+    """An element k such that k g k^-1 lives on 1..m, m = |supp g|, with at
+    most one color per cycle.
+
+    The permutation part sends the fixed colored points of g, in increasing
+    order, to 1, 2, ..., then each cycle to the next consecutive positions,
+    in cycle order; the positions of 1..m outside the support go to the
+    support's positions above m.  The color part c collapses each cycle's
+    colors onto its first position p_1: along p_1 -> p_2 -> ... it solves
+    c(p_(j+1)) = c(p_j) t(p_(j+1))^-1, which clears the color at p_(j+1).
+    """
+    group = g.group
+    cycles = g.perm.cycles()
+    collapse = {}
+    for cyc in cycles:
+        acc = 0
+        for p in cyc[1:]:
+            acc = group.mul(acc, group.inv(g.colors.get(p, 0)))
+            collapse[p] = acc
+    order = sorted(p for p in g.colors if g.perm(p) == p) + [p for cyc in cycles for p in cyc]
+    m = len(order)
+    relabel = {p: i for i, p in enumerate(order, 1)}
+    free = [q for q in range(1, m + 1) if q not in relabel]
+    relabel.update(zip(free, [p for p in order if p > m]))
+    return WreathElement(group, {}, FinitePermutation(relabel)) * WreathElement(group, collapse)
+
+
 @dataclass(frozen=True)
 class CyclicPart:
     """One cycle of the permutation together with the colors on its support."""

@@ -20,7 +20,8 @@ from ybw.errors import (
     SupportsNotDisjointError,
 )
 from ybw.groups import load_group
-from ybw.matrix import ExactMatrix, SparseOperator, amplify, flip_operator
+from ybw import matrix
+from ybw.matrix import ExactMatrix, SparseOperator, amplify, flip_operator, gate_product, gate_trace
 from ybw.perms import FinitePermutation
 from ybw.rmatrix import boxplus, scalar_rmatrix, verify_rmatrix
 from ybw.rng import Lcg64
@@ -247,8 +248,20 @@ def test_rep_element_rejects_an_image_above_the_limit(pm_couple, z2):
         with pytest.raises(OperatorTooLargeError,
                            match=rf"w\*d\^n = 1\*2\^{n}, above the limit MAX_OPERATOR_DIM = 65536"):
             rep_element(pm_couple, WreathElement(z2, {n: 1}), n)
-    with pytest.raises(OperatorTooLargeError):
-        character(pm_couple, WreathElement(z2, {40: 1}))
+    # a character is evaluated on |supp g| factors, wherever the support sits
+    with pytest.raises(OperatorTooLargeError, match=r"w\*d\^n = 1\*2\^17, above the limit"):
+        character(pm_couple, WreathElement(z2, {p: 1 for p in range(100, 117)}))
+
+
+def test_character_does_not_depend_on_where_the_support_sits(pm_couple, flip_couple,
+                                                              corpus_couples, z2):
+    for c in (pm_couple, flip_couple):
+        for p in (2, 40, 10 ** 9):
+            assert character(c, WreathElement(z2, {p: 1})) == character(c, WreathElement(z2, {1: 1}))
+    for _, c, _ in corpus_couples.values():
+        for t in range(c.group.order):
+            assert character(c, WreathElement(c.group, {40: t})) == \
+                character(c, WreathElement(c.group, {1: t}))
 
 
 def test_character_identity(pm_couple, z2):
@@ -323,11 +336,15 @@ def test_gram_random_eight(pm_couple, z2):
     assert report.min_eigenvalue >= -1e-9
 
 
-def test_wider_ambient_space(z2):
-    # w = 2: pi acts on W (x) V with a flipped sign pattern on the W copies
+def wider_couple(z2):
+    """w = 2: pi acts on W (x) V with a flipped sign pattern on the W copies."""
     r = verify_rmatrix(flip_operator(2, 2), 2)
-    pi_s = ExactMatrix.diag([1, -1, 1, -1])
-    couple = certify_couple(z2, r, [ExactMatrix.identity(4), pi_s], 2)
+    return certify_couple(z2, r, [ExactMatrix.identity(4), ExactMatrix.diag([1, -1, 1, -1])], 2)
+
+
+def test_wider_ambient_space(z2):
+    couple = wider_couple(z2)
+    r, pi_s = couple.r, couple.pi[1]
     assert character(couple, WreathElement.identity(z2)) == 1
     assert character(couple, WreathElement(z2, {1: 1})) == 0
     # a colored transposition lifts the permutation to W (x) V (x) V: dense
@@ -339,3 +356,80 @@ def test_wider_ambient_space(z2):
     dense = pi1 * (r1 * pi1 * r1) * r1
     assert rep_element(couple, g, 2).to_dense() == dense
     assert character(couple, g) == Fraction(1, 2) == dense.trace() / 8
+
+
+def conjugated_couple(c, u):
+    """(U pi U^dagger, (U (x) U) R (U (x) U)^dagger), with U acting on V: a
+    couple again, whose rows need not stay monomial."""
+    uu = u.kron(u)
+    wu = ExactMatrix.identity(c.w).kron(u)
+    r = verify_rmatrix(uu * c.r.m * uu.dagger(), c.d)
+    return certify_couple(c.group, r, [wu * m * wu.dagger() for m in c.pi], c.w)
+
+
+@pytest.fixture(scope="module")
+def differential_couples(z2, pm_couple, flip_couple, corpus_couples):
+    """Couples by label, with whether all their gates are monomial with
+    root-of-unity entries and the largest image dimension to test them at."""
+    out = {name: (c, True, 128) for name, (_, c, _) in corpus_couples.items()}
+    out.update(pm=(pm_couple, True, 128), flip=(flip_couple, True, 128),
+               w2=(wider_couple(z2), True, 128))
+    # the benchmark's block unitary on one block: a rotation with a phase
+    b = Fraction(4, 5) * zeta(12)
+    rot = ExactMatrix.from_entries(2, 2, {(0, 0): Fraction(3, 5), (0, 1): b,
+                                          (1, 0): -b.conj(), (1, 1): Fraction(3, 5)})
+    for name in ("z2_half_half.params.json", "s3_std.params.json"):
+        out[f"{name} rotated"] = (conjugated_couple(corpus_couples[name][1], rot), False, 128)
+    # the Hadamard-conjugated pm R is not monomial: its images fill whole rows
+    h = ExactMatrix.from_entries(2, 2, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1})
+    h = h.scaled((zeta(8) + zeta(8, 7)) / 2)
+    out["pm hadamard"] = (conjugated_couple(pm_couple, h), False, 16)
+    # monomial, but (3+4i)/5 is not a root of unity
+    a = Fraction(3, 5) + Fraction(4, 5) * zeta(4)
+    pi_s = ExactMatrix.from_entries(2, 2, {(0, 1): a, (1, 0): a.conj()})
+    out["rational phase"] = (certify_couple(z2, flip_couple.r, [ExactMatrix.identity(2), pi_s], 1),
+                             False, 128)
+    return out
+
+
+def top_level(c, dim):
+    """The largest level n >= 1 with w * d^n <= dim."""
+    n = 1
+    while c.w * c.d ** (n + 1) <= dim:
+        n += 1
+    return n
+
+
+def test_gate_trace_matches_gate_product_on_couple_words(differential_couples, monkeypatch):
+    # seeded words of R and pi gates; monomial words never build the product
+    built = []
+    product = matrix._product
+    monkeypatch.setattr(matrix, "_product", lambda dims, gates: built.append(1) or product(dims, gates))
+    rng = Lcg64(83)
+    for label, (c, monomial, dim) in differential_couples.items():
+        n = top_level(c, dim)
+        gates = [(c.r.m, j, j + 2) for j in range(1, n)] + [(m, 0, 2) for m in c.pi]
+        fallbacks = 0
+        for _ in range(25):
+            word = [gates[rng.below(len(gates))] for _ in range(rng.below(14))]
+            del built[:]
+            assert gate_trace(c.layout(n), word) == gate_product(c.layout(n), word).trace(), \
+                (label, word)
+            fallbacks += len(built) - 1  # one product is gate_product's own
+        assert (fallbacks == 0) if monomial else (fallbacks > 0), label
+
+
+def test_character_matches_the_literal_trace(differential_couples):
+    # the compact conjugate on the engine against rep_element at max(supp)
+    rng = Lcg64(89)
+    checked = 0
+    for label, (c, _, dim) in differential_couples.items():
+        top = top_level(c, dim)
+        for _ in range(90):
+            lo = 1 + rng.below(top)
+            g = rng.wreath_element(c.group, lo, lo + rng.below(top - lo + 1))
+            n = max(g.max_support(), 1)
+            literal = rep_element(c, g, n).trace() / (c.w * c.d ** n)
+            assert character(c, g) == literal, (label, g)
+            checked += 1
+    assert checked >= 1000

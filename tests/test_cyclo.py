@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ybw.cyclo import CycloScalar, cyclotomic_polynomial, totient, zeta
+from ybw.cyclo import CycloScalar, cyclotomic_polynomial, root_sum, totient, zeta
 
 
 def mobius_cyclotomic(n):
@@ -157,6 +157,36 @@ def test_norm_is_real_nonnegative(a):
     v = a.norm_sq().to_complex()
     assert abs(v.imag) < 1e-9
     assert v.real > -1e-9
+
+
+def test_root_exponent_finds_every_root_of_unity():
+    for n in range(1, 25):
+        m = 2 * n
+        for k in range(n):
+            for sign in (1, -1):
+                value = sign * zeta(n, k)
+                e = value.root_exponent(m)
+                assert value == zeta(m, e) and 0 <= e < m, (n, k, sign)
+    for value in (CycloScalar.from_rational(2), CycloScalar.from_rational(Fraction(1, 2)),
+                  Fraction(3, 5) + Fraction(4, 5) * zeta(4), 1 + zeta(5), zeta(8) + zeta(8, 7)):
+        assert value.root_exponent(2 * value.n) is None, value
+    with pytest.raises(ValueError):
+        zeta(3).root_exponent(3)  # -zeta_3 is not a power of zeta_3
+
+
+def test_root_sum_stays_in_the_given_conductor():
+    # the sum of zeta_m^e over counts, m = lcm(2, n), against scalar sums
+    for n in (1, 2, 3, 4, 5, 6, 8, 9, 12):
+        m = 2 * n if n % 2 else n
+        for seed in range(20):
+            counts = [(seed * 7 + e * e * 3) % 5 - 1 for e in range(m)]
+            expected = CycloScalar.from_rational(0)
+            for e, count in enumerate(counts):
+                expected = expected + count * zeta(m, e)
+            got = root_sum(counts, n)
+            assert got == expected and got.n in (1, n), (n, counts)
+    with pytest.raises(ValueError):
+        root_sum([1, 0, 0], 3)
 
 
 def test_rational_normalization():

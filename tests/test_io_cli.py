@@ -1,12 +1,13 @@
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
 from ybw import io as codecs
 from ybw.cli import corpus_dir, main
-from ybw.cyclo import CycloScalar, zeta
+from ybw.cyclo import CycloScalar, totient, zeta
 from ybw.errors import SchemaError
 from ybw.groups import catalog_irreps, load_group
 from ybw.matrix import ExactMatrix, flip_operator
@@ -135,6 +136,27 @@ def test_params_roundtrip():
 def test_params_schema_errors(field):
     with pytest.raises(SchemaError, match=rf"^t\.{field}: expected an object"):
         codecs.params_from_json({"group": "z2", field: []}, "t")
+
+
+def zeta_json(n):
+    """zeta_n as a JSON scalar."""
+    return {"N": n, "c": ["0", "1"] + ["0"] * (totient(n) - 2)}
+
+
+def test_conductor_lcm_is_bounded_over_a_couple_file():
+    # one bound spans R and every pi image: 8 in R and 250 in pi(1) give
+    # 1000, then 9 in pi(2) pushes the lcm to 9000
+    def one_by_one(value):
+        return {"dim_rows": 1, "dim_cols": 1, "conductor": 1, "entries": [[0, 0, value]]}
+
+    obj = {"group": codecs.group_to_json(load_group("z3")), "d": 1, "w": 1,
+           "r": one_by_one(zeta_json(8)),
+           "pi": [one_by_one("1"), one_by_one(zeta_json(250)), one_by_one(zeta_json(250))]}
+    codecs.couple_file_from_json(obj, "t")
+    obj["pi"][2] = one_by_one(zeta_json(9))
+    with pytest.raises(SchemaError, match=r"^t\.pi\[2\]\.entries\[0\]: conductor 9 raises "
+                                          r"the lcm of the file's conductors to 9000"):
+        codecs.couple_file_from_json(obj, "t")
 
 
 def test_couple_schema_errors():
@@ -280,17 +302,53 @@ def test_cli_build_and_char(tmp_path, capsys):
 
 
 def test_cli_char_rejects_an_image_above_the_limit(tmp_path, capsys):
-    # q8 builds d = 4, so a color at position 40 asks for a 4^40-dimensional
-    # image; it is refused before anything is allocated
+    # q8 builds d = 4 and a character is evaluated on |supp| factors, so 9
+    # colored positions ask for a 4^9-dimensional image; it is refused before
+    # anything is allocated
     params = str(corpus_dir() / "q8_2dim.params.json")
     out_file = tmp_path / "couple.json"
     code, _, _ = run_cli(capsys, "build", params, "--out", str(out_file))
     assert code == 0
     elt = tmp_path / "elt.json"
-    elt.write_text(json.dumps({"colors": {"40": 2}, "cycles": []}))
+    elt.write_text(json.dumps({"colors": {str(10 * k): 2 for k in range(1, 10)}, "cycles": []}))
     code, out, _ = run_cli(capsys, "char", str(out_file), "--element", str(elt))
     assert code == 1
-    assert "FAIL verification" in out and "w*d^n = 1*4^40" in out and "MAX_OPERATOR_DIM" in out
+    assert "FAIL verification" in out and "w*d^n = 1*4^9" in out and "MAX_OPERATOR_DIM" in out
+    # a single color anywhere is evaluated on one factor
+    elt.write_text(json.dumps({"colors": {"40": 2}, "cycles": []}))
+    code, out, _ = run_cli(capsys, "char", str(out_file), "--element", str(elt))
+    assert code == 0 and "PASS character: 1/2 = 0.5" in out
+
+
+def test_cli_char_at_a_huge_position_on_a_one_dimensional_couple(tmp_path, capsys):
+    # d = 1 passes the image limit at every level; a color at position
+    # 200000 once put 2 * 199999 gates in the word and ran past 20 s
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"group": "z2", "a": {"triv": {"0": ["1"]}}, "mu": {}}))
+    out_file = tmp_path / "couple.json"
+    code, out, _ = run_cli(capsys, "build", str(params), "--out", str(out_file))
+    assert code == 0 and "d=1" in out
+    elt = tmp_path / "elt.json"
+    elt.write_text(json.dumps({"colors": {"200000": 1}}))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "char", str(out_file), "--element", str(elt))
+    assert code == 0 and "PASS character: 1 = 1" in out
+    assert time.perf_counter() - start < 5
+
+
+def test_cli_rejects_a_file_whose_conductor_lcm_exceeds_the_limit(tmp_path, capsys):
+    # zeta_997 and zeta_991 are each under MAX_CONDUCTOR, but their first
+    # product would build Q(zeta_988027): a MemoryError after 36 s before
+    bad = tmp_path / "r.json"
+    bad.write_text(json.dumps({"d": 2, "dim_rows": 4, "dim_cols": 4, "conductor": 1,
+                               "entries": [[0, 0, zeta_json(997)], [0, 1, zeta_json(991)],
+                                           [1, 1, "1"], [2, 2, "1"], [3, 3, "1"]]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "check-rmatrix", str(bad))
+    assert code == 2 and out == ""
+    assert err == (f"error: malformed input: {bad}.entries[1]: conductor 991 raises the lcm "
+                   "of the file's conductors to 988027, above the limit 1000\n")
+    assert time.perf_counter() - start < 5
 
 
 def test_cli_verify_theorem(capsys):

@@ -12,6 +12,7 @@ from ybw.matrix import (
     amplify,
     flip_operator,
     gate_product,
+    gate_trace,
     kron,
     matmul,
 )
@@ -197,6 +198,38 @@ def test_gate_product_matches_dense_kron_oracle():
                 dense = dense * kron(kron(ExactMatrix.identity(pre), op),
                                      ExactMatrix.identity(post))
             assert gate_product(dims, word).to_dense() == dense, (dims, word)
+
+
+def random_phase_permutation(rng, n, conductor):
+    """A permutation matrix whose entries are conductor-th roots of unity."""
+    perm = rng.permutation_of(list(range(1, n + 1)))
+    return ExactMatrix.from_entries(n, n, {(i, perm(i + 1) - 1): zeta(conductor, rng.below(conductor))
+                                           for i in range(n)})
+
+
+def test_gate_trace_matches_gate_product():
+    # roots of unity of several conductors mix in one word on the engine;
+    # words with a non-monomial gate or a non-unit entry fall back
+    inv_sqrt2 = (zeta(8) + zeta(8, 7)) / 2
+    h = ExactMatrix.from_entries(2, 2, {(0, 0): inv_sqrt2, (0, 1): inv_sqrt2,
+                                        (1, 0): inv_sqrt2, (1, 1): -inv_sqrt2})
+    hh = kron(h, h)
+    special = {2: [h], 4: [hh * flip_operator(2, 2) * hh.dagger(),
+                           kron(h, ExactMatrix.diag([1, zeta(4)])), ExactMatrix.diag([1, 1, 2, 1])]}
+    rng = Lcg64(67)
+    for dims in ((2, 2, 2), (1, 2, 2, 2), (2, 3, 2), (3, 2, 2, 2)):
+        for _ in range(40):
+            word = []
+            for _ in range(rng.below(9)):
+                start = rng.below(len(dims))
+                stop = start + 1 + rng.below(len(dims) - start)
+                mid = prod(dims[start:stop])
+                if rng.below(8) == 0 and mid in special:
+                    op = special[mid][rng.below(len(special[mid]))]
+                else:
+                    op = random_phase_permutation(rng, mid, (1, 2, 3, 4, 8, 12)[rng.below(6)])
+                word.append((op, start, stop))
+            assert gate_trace(dims, word) == gate_product(dims, word).trace(), (dims, word)
 
 
 def test_amplify_dimension_check():
