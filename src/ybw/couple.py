@@ -10,7 +10,8 @@ truncated spaces W (x) V^(x n) and, through the normalized trace, an
 extremal character evaluated here exactly.
 
 The image of a wreath element is one word of local gates, pi(t) on
-W (x) V_1 and R on adjacent V-slots, evaluated by matrix.gate_product;
+W (x) V_1 and R (as its certified sparse rows) on adjacent V-slots,
+evaluated by matrix.gate_product;
 no operator is kept between calls.  Certification checks the equation
 above as X_t pi(t') = pi(t') X_t, where X_t = R1 pi(t) R1 is a gate word.
 Character values do not depend on the truncation level, because the
@@ -98,7 +99,7 @@ def certify_couple(group: FiniteGroup, r: RMatrix, pi_images, w: int) -> YangBax
             if pi[a] * pi[b] != pi[group.mul(a, b)]:
                 raise NotHomomorphismError(f"pi({a}) pi({b}) != pi({a}*{b})")
     dims = (w, r.d, r.d)
-    r1 = (r.m, 1, 3)
+    r1 = (r.sparse, 1, 3)
     xs = [gate_product(dims, [r1, (m, 0, 2), r1]) for m in pi]
     pi_amp = [amplify(m, dims, 0, 2) for m in pi]
     for t in range(group.order):
@@ -135,7 +136,7 @@ def _image_word(c: YangBaxterCouple, g: WreathElement, n: int) -> list:
         raise OperatorTooLargeError(
             f"the image on W (x) V^(x {n}) has dimension w*d^n = {c.w}*{c.d}^{n}, "
             f"above the limit MAX_OPERATOR_DIM = {MAX_OPERATOR_DIM}")
-    r = c.r.m
+    r = c.r.sparse
     word = []
     for i in sorted(g.colors):
         stairs = [(r, j, j + 2) for j in range(1, i)]  # R_1 ... R_(i-1)

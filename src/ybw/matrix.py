@@ -11,11 +11,14 @@ block-permutation-like, so rows stay short.  Such an image is a word of
 local gates, each an operator on a few contiguous factors, and
 gate_product evaluates the word by applying the gates in place, without
 materializing any amplified gate and without caching operators between
-calls.  The SparseOperator product is one such gate step (_apply_gate),
-and R-matrix and couple certification run on the same two functions.
-gate_trace gives the trace of a word alone, on a phase-permutation engine
-when every gate is monomial with root-of-unity entries, and through
-gate_product otherwise.
+calls.  The SparseOperator product is one such gate step (_apply_gate).
+
+When every gate of a word has one root-of-unity entry per row, the word
+is a permutation of the basis with phases, and _phase_permutation
+evaluates it on plain int lists instead.  gate_trace takes the trace of a
+word and first_differing_row compares two words on that engine, and both
+fall back to gate_product on any other word.  R-matrix and couple
+certification, characters and R-matrix images all run on these functions.
 """
 
 from __future__ import annotations
@@ -286,30 +289,68 @@ def gate_product(dims, word) -> SparseOperator:
 
 
 def gate_trace(dims, word) -> CycloScalar:
-    """The trace of gate_product(dims, word), on a phase-permutation engine
-    when every gate has one root-of-unity entry per row.
-
-    Such a word maps each basis vector to a root of unity zeta_m^e times
-    another, so the product is a permutation of the basis with exponents
-    mod m: each gate gathers runs of (column, exponent) pairs and adds its
-    rows' exponents, and the trace counts the exponents on the fixed
-    points.  Any other word is evaluated by gate_product.
-    """
+    """The trace of gate_product(dims, word), on the phase-permutation
+    engine (_phase_permutation) when every gate has one root-of-unity entry
+    per row: the count of each exponent on the fixed points of the basis
+    permutation.  Any other word is evaluated by gate_product."""
     dims = tuple(dims)
     gates = _sparse_gates(dims, word)
+    engine = _phase_permutation(dims, gates)
+    if engine is None:
+        return _product(dims, gates).trace()
+    state, bits, m, n = engine
+    counts = [0] * m
+    mask = (1 << bits) - 1
+    for i, x in enumerate(state):
+        if x >> bits == i:
+            counts[(x & mask) % m] += 1
+    return root_sum(counts, n)
+
+
+def first_differing_row(dims, lhs, rhs) -> int | None:
+    """The first row where gate_product(dims, lhs) and gate_product(dims,
+    rhs) differ, or None when the two words give the same operator.
+
+    Two words on the phase-permutation engine, with the same exponent
+    modulus, are compared there as (column, exponent mod m) per row; any
+    other pair is compared on the rows of the two products."""
+    dims = tuple(dims)
+    gates = [_sparse_gates(dims, lhs), _sparse_gates(dims, rhs)]
+    engines = [_phase_permutation(dims, g) for g in gates]
+    if None in engines or engines[0][2] != engines[1][2]:
+        a, b = (_product(dims, g).rows for g in gates)
+    elif engines[0][:2] == engines[1][:2]:
+        return None  # equal packed states are equal operators
+    else:
+        a, b = ([(x >> bits) * m + (x & ((1 << bits) - 1)) % m for x in state]
+                for state, bits, m, _ in engines)
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
+
+
+def _phase_permutation(dims: tuple[int, ...], gates) -> tuple[list[int], int, int, int] | None:
+    """The product of a word of sparse gates as a permutation of the basis
+    with phases, or None when some gate does not have exactly one
+    root-of-unity entry per row.
+
+    Such a word maps each basis vector to a root of unity zeta_m^e times
+    another, with m = lcm(2, n) for n the lcm of the entry conductors.  The
+    result is (state, bits, m, n): row i of the product has its entry
+    zeta_m^e in column c for state[i] = c << bits | e, where e is the
+    unreduced sum of the gates' exponents.  Each gate gathers runs of
+    packed entries and adds its rows' exponents (_gather_plan)."""
     distinct = list({id(rows): rows for rows, _, _ in gates}.values())
     if not all(len(row) == 1 for rows in distinct for row in rows):
-        return _product(dims, gates).trace()
+        return None
     n = lcm(1, *(v.n for rows in distinct for ((_, v),) in rows))
     m = lcm(2, n)
     forms = {}
     for rows in distinct:
         exps = [v.root_exponent(m) for ((_, v),) in rows]
         if None in exps:
-            return _product(dims, gates).trace()
+            return None
         forms[id(rows)] = ([c for ((c, _),) in rows], exps)
-    # each basis vector holds column << bits | exponent; exponents add up
-    # unreduced, to at most len(gates) * (m - 1), which fits in bits
+    # exponents add up unreduced, to at most len(gates) * (m - 1), which
+    # fits in bits
     bits = (len(gates) * (m - 1)).bit_length()
     total = prod(dims)
     state = [i << bits for i in range(total)]
@@ -324,12 +365,7 @@ def gate_trace(dims, word) -> CycloScalar:
             run = state[src]
             out[dst] = [x + e for x in run] if e else run
         state = out
-    counts = [0] * m
-    mask = (1 << bits) - 1
-    for i, x in enumerate(state):
-        if x >> bits == i:
-            counts[(x & mask) % m] += 1
-    return root_sum(counts, n)
+    return state, bits, m, n
 
 
 def _gather_plan(cols, exps, pre: int, post: int) -> list[tuple[slice, slice, int]]:

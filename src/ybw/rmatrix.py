@@ -1,12 +1,17 @@
 """Involutive R-matrices and their Thoma parameters.
 
 An R-matrix here is an involutive solution of the Yang-Baxter braid
-relation on V (x) V, certified by exact checks on sparse rows and gate
-words (verify_rmatrix).  The module provides the box-sum composition
-(summands act on their own diagonal blocks, the flip acts on mixed
-tensors), normal forms realizing prescribed Thoma parameters, the induced
-representations of finite permutations on V^(x n), and exact extraction
-of Thoma parameters from cycle traces.
+relation on V (x) V, certified by exact checks on its sparse rows and gate
+words (verify_rmatrix).  A certified RMatrix keeps those rows next to the
+dense matrix, and the builders, cycle traces and images read the rows:
+normal forms and built R-matrices have one entry per row, so that work is
+linear in the d^2 rows, and the braid relation of such an R is compared
+on the phase-permutation engine of matrix.first_differing_row.  The
+module provides the box-sum composition (summands act on their own
+diagonal blocks, the flip acts on mixed tensors), normal forms realizing
+prescribed Thoma parameters, the induced representations of finite
+permutations on V^(x n), and exact extraction of Thoma parameters from
+cycle traces.
 
 Cycle traces are powers of one d x d matrix: the trace of the staircase
 product R_1 R_2 ... R_(n-1) on V^(x n) is tr(T^(n-1)) for the partial
@@ -32,7 +37,7 @@ from .errors import (
     SupportExceedsLevelError,
     YBEFailsError,
 )
-from .matrix import ExactMatrix, SparseOperator, gate_product
+from .matrix import ExactMatrix, SparseOperator, first_differing_row, gate_product
 from .perms import FinitePermutation, adjacent_word
 
 
@@ -81,32 +86,39 @@ class ThomaParams:
 
 
 class RMatrix:
-    """A certified involutive Yang-Baxter solution on V (x) V, dim V = d."""
+    """A certified involutive Yang-Baxter solution on V (x) V, dim V = d,
+    as the dense matrix m and its sparse rows."""
 
-    __slots__ = ("d", "m", "_cycle_traces")
+    __slots__ = ("d", "m", "sparse", "_cycle_traces")
 
-    def __init__(self, d: int, m: ExactMatrix, _certified: bool = False):
+    def __init__(self, d: int, m: ExactMatrix, sparse: SparseOperator, _certified: bool = False):
         if not _certified:
             raise TypeError("use verify_rmatrix() to construct a certified RMatrix")
         self.d = d
         self.m = m
+        self.sparse = sparse
         self._cycle_traces: list[CycloScalar] = []
 
     def __repr__(self) -> str:
         return f"RMatrix(d={self.d})"
 
 
-def verify_rmatrix(m: ExactMatrix, d: int) -> RMatrix:
+def verify_rmatrix(m: ExactMatrix | SparseOperator, d: int) -> RMatrix:
     """Certify involutivity, unitarity and the braid relation, exactly.
 
-    Each check runs on the sparse rows of R, read off the dense matrix
-    once: R^2 = 1 on the sparse square of R, then unitarity as R^dagger = R
-    (given R^-1 = R), then R12 R23 R12 = R23 R12 R23 as two gate words, so
-    no amplified R is built.
+    R comes dense or as sparse rows, which must be canonical (_check_rows);
+    the missing form is built once.  Each check runs on the sparse rows:
+    R^2 = 1 on the sparse square of R, then unitarity as R^dagger = R
+    (given R^-1 = R), then R12 R23 R12 = R23 R12 R23 as two gate words
+    compared by first_differing_row, so no amplified R is built.
     """
-    if m.rows != d * d or m.cols != d * d:
-        raise DimensionMismatchError(f"expected a {d * d}x{d * d} matrix, got {m.rows}x{m.cols}")
-    s = SparseOperator.from_dense(m)
+    sparse = isinstance(m, SparseOperator)
+    shape = (m.dim, m.dim) if sparse else (m.rows, m.cols)
+    if shape != (d * d, d * d):
+        raise DimensionMismatchError(f"expected a {d * d}x{d * d} matrix, got {shape[0]}x{shape[1]}")
+    if sparse:
+        _check_rows(m)
+    s = m if sparse else SparseOperator.from_dense(m)
     for i, row in enumerate((s * s).rows):
         entries = dict(row)
         entries.setdefault(i, ZERO)
@@ -117,45 +129,59 @@ def verify_rmatrix(m: ExactMatrix, d: int) -> RMatrix:
                     f"coefficient at {i}")
     if s.dagger() != s:
         raise NotUnitaryError("R is not unitary")
-    dims = (d, d, d)
-    lhs = gate_product(dims, [(s, 0, 2), (s, 1, 3), (s, 0, 2)])
-    rhs = gate_product(dims, [(s, 1, 3), (s, 0, 2), (s, 1, 3)])
-    for idx, (ra, rb) in enumerate(zip(lhs.rows, rhs.rows)):
-        if ra != rb:
-            raise YBEFailsError(
-                f"braid relation fails: row {idx} of R12 R23 R12 and R23 R12 R23 differ")
-    return RMatrix(d, m, _certified=True)
+    idx = first_differing_row((d, d, d), [(s, 0, 2), (s, 1, 3), (s, 0, 2)],
+                              [(s, 1, 3), (s, 0, 2), (s, 1, 3)])
+    if idx is not None:
+        raise YBEFailsError(
+            f"braid relation fails: row {idx} of R12 R23 R12 and R23 R12 R23 differ")
+    return RMatrix(d, m.to_dense() if sparse else m, s, _certified=True)
+
+
+def _check_rows(s: SparseOperator) -> None:
+    """One row per basis vector, each sorted by column with no repeats, no
+    zero entry and every column in range: the form SparseOperator equality
+    and products assume.  O(nnz)."""
+    if len(s.rows) != s.dim:
+        raise DimensionMismatchError(f"{len(s.rows)} sparse rows for dimension {s.dim}")
+    for i, row in enumerate(s.rows):
+        prev = -1
+        for j, v in row:
+            if not prev < j < s.dim:
+                raise DimensionMismatchError(
+                    f"row {i} of R has column {j} out of order or outside 0..{s.dim - 1}")
+            if v.is_zero():
+                raise DimensionMismatchError(f"row {i} of R holds a zero at column {j}")
+            prev = j
 
 
 def boxplus(*parts: RMatrix) -> RMatrix:
-    """Box-sum: each summand on its own diagonal block, the flip on mixed tensors."""
-    big = sum(p.d for p in parts)
-    out = ExactMatrix.zeros(big * big, big * big)
+    """Box-sum: each summand on its own diagonal block, the flip on mixed
+    tensors, built row by row from the summands' rows."""
     owner: list[int] = []  # summand of each basis vector of the sum
-    offset = 0
+    offsets = []
     for k, p in enumerate(parts):
-        for a, arow in enumerate(p.m.data):
-            u_out, v_out = divmod(a, p.d)
-            row = out.data[(u_out + offset) * big + v_out + offset]
-            for b, val in enumerate(arow):
-                if not val.is_zero():
-                    u_in, v_in = divmod(b, p.d)
-                    row[(u_in + offset) * big + v_in + offset] = val
+        offsets.append(len(owner))
         owner += [k] * p.d
-        offset += p.d
-    for u in range(big):
+    big = len(owner)
+    rows = []
+    for u, k in enumerate(owner):
+        p, off = parts[k], offsets[k]
         for v in range(big):
-            if owner[u] != owner[v]:
-                out.data[v * big + u][u * big + v] = ONE
-    return verify_rmatrix(out, big)
+            if owner[v] != k:
+                rows.append([(v * big + u, ONE)])
+                continue
+            # a summand's row is sorted, and its column (x, y) goes to
+            # (x + off, y + off) in the same order
+            row = p.sparse.rows[(u - off) * p.d + v - off]
+            rows.append([((c // p.d + off) * big + c % p.d + off, x) for c, x in row])
+    return verify_rmatrix(SparseOperator(big * big, rows), big)
 
 
 def scalar_rmatrix(size: int, sign: int) -> RMatrix:
     """(+1) or (-1) times the identity on a size-dim space, as an R-matrix."""
     unit = MINUS_ONE if sign < 0 else ONE
-    # diag shares one zero off the diagonal; scaling the identity would
-    # allocate a fresh zero for each of its size^4 entries
-    return verify_rmatrix(ExactMatrix.diag([unit] * (size * size)), size)
+    n = size * size
+    return verify_rmatrix(SparseOperator(n, [[(i, unit)] for i in range(n)]), size)
 
 
 def normal_form_from_thoma(t: ThomaParams, d: int) -> RMatrix:
@@ -185,7 +211,7 @@ def yb_rep_perm(r: RMatrix, sigma: FinitePermutation, n: int) -> SparseOperator:
     if sigma.max_support() > n:
         raise SupportExceedsLevelError(
             f"permutation moves {sigma.max_support()} but the level is {n}")
-    return gate_product((r.d,) * n, [(r.m, i - 1, i + 1) for i in adjacent_word(sigma, n)])
+    return gate_product((r.d,) * n, [(r.sparse, i - 1, i + 1) for i in adjacent_word(sigma, n)])
 
 
 def cycle_trace(r: RMatrix, n: int) -> CycloScalar:
@@ -203,15 +229,20 @@ def cycle_trace_sequence(r: RMatrix, n_max: int) -> list[CycloScalar]:
     R (1 (x) T) = (T (x) 1) R, hence Tr_2(R (1 (x) T^k)) = T^(k+1), and
     tracing out the last factor of R_1 ... R_(n-1) T_n^k, which keeps the
     trace, leaves R_1 ... R_(n-2) T_(n-1)^(k+1).  Repeating down to one
-    factor gives tr(T^(n-1)), at a cost polynomial in d.
+    factor gives tr(T^(n-1)), at a cost polynomial in d; T is read off
+    the nonzero entries of R.
     """
     cached = r._cycle_traces
     if len(cached) >= n_max - 1:
         return cached[: n_max - 1]
     d = r.d
-    m = r.m.data
-    t = ExactMatrix(d, d, [[sum((m[i * d + x][j * d + x] for x in range(d)), ZERO)
-                            for j in range(d)] for i in range(d)])
+    t = ExactMatrix.zeros(d, d)
+    for a, row in enumerate(r.sparse.rows):
+        i, x = divmod(a, d)
+        for c, v in row:
+            j, y = divmod(c, d)
+            if y == x:
+                t.data[i][j] = t.data[i][j] + v
     power = t
     out = [t.trace()]
     for _ in range(3, n_max + 1):

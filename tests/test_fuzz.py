@@ -4,20 +4,25 @@ Each case is a command with the JSON documents it reads.  The documents
 follow the file schemas with some fields dropped or replaced by arbitrary
 JSON, so both decoding and certification see hostile input.  Sizes stay
 small: d <= 3, matrix dimensions <= 9, group order <= 4 and positions
-<= 4.  Scalars use conductors up to 12, as the catalog does: scalars of
-large coprime conductors multiply into fields whose tables exhaust
-memory, an open defect listed in ROADMAP item 5(a).
+<= 4.  Scalars are rational or cyclotomic, of the catalog's conductors
+(up to 12) or of large ones up to io.MAX_CONDUCTOR (840, 997 or 1000,
+with a few nonzero coordinates).  Decoding caps the lcm of the
+conductors in one file at that limit, so large conductors that mix exit
+2 before any product lifts them into a larger field.
 """
 
 import contextlib
 import io
 import json
 import tempfile
+from math import lcm
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
 from ybw.cli import main
+from ybw.cyclo import totient
+from ybw.io import MAX_CONDUCTOR
 
 leaf = (st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-2, 2)
         | st.sampled_from(["", "1", "-1/2", "x", "²", "01"]))
@@ -35,10 +40,23 @@ def small(lo, hi):
 
 
 rational = rarely(st.sampled_from(["0", "1", "-1", "1/2", "-2/3"]))
-# (N, phi(N)) for conductors the catalog uses
-scalar = rational | st.sampled_from([(1, 1), (3, 2), (4, 2), (8, 4), (12, 4)]).flatmap(
-    lambda nt: st.fixed_dictionaries({"N": rarely(st.just(nt[0]), small(1, 12)),
-                                      "c": st.lists(rational, min_size=nt[1], max_size=nt[1])}))
+
+
+def coordinates(phi):
+    """phi power-basis coordinates; beyond the catalog's fields, zero
+    except at up to three drawn places."""
+    if phi <= 4:
+        return st.lists(rational, min_size=phi, max_size=phi)
+    return st.dictionaries(st.integers(0, phi - 1), rational, max_size=3).map(
+        lambda nonzero: [nonzero.get(k, "0") for k in range(phi)])
+
+
+# (N, phi(N)) for conductors the catalog uses and for large ones
+fields = st.sampled_from([(n, totient(n)) for n in (1, 3, 4, 8, 12, 840, 997, MAX_CONDUCTOR)])
+cyclotomic = fields.flatmap(
+    lambda nt: st.fixed_dictionaries({"N": rarely(st.just(nt[0]), small(1, MAX_CONDUCTOR + 1)),
+                                      "c": coordinates(nt[1])}))
+scalar = st.booleans().flatmap(lambda c: cyclotomic if c else rational)
 
 
 @st.composite
@@ -131,6 +149,16 @@ Z2_COUPLE = {"format": 1, "group": {"name": "z2", "order": 2, "table": [[0, 1], 
              "d": 1, "w": 1, "r": identity_doc(1), "pi": [identity_doc(1)] * 2}
 
 
+def twisted_flip_doc(n):
+    """The d = 2 flip twisted by zeta_n on e_0 (x) e_1 and by zeta_997^-1 on
+    e_1 (x) e_0: an R-matrix for n = 997."""
+    zeta_n = {"N": n, "c": ["0", "1"] + ["0"] * (totient(n) - 2)}
+    # zeta_997^-1 = zeta_997^996 = -(1 + x + ... + x^995) for x = zeta_997
+    inverse = {"N": 997, "c": ["-1"] * 996}
+    return {"format": 1, "d": 2, "dim_rows": 4, "dim_cols": 4, "conductor": lcm(n, 997),
+            "entries": [[0, 0, "1"], [2, 1, zeta_n], [1, 2, inverse], [3, 3, "1"]]}
+
+
 def run(command, docs):
     """Exit code, stdout and stderr of the CLI on the documents."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -164,6 +192,9 @@ def run(command, docs):
     "format": 1, "d": 1, "dim_rows": 1, "dim_cols": 1, "conductor": 1,
     "entries": [[0, 0, {"N": True, "c": ["1"]}]]}}), expect=2)
 @example(case=("element", {"file": {"colors": {"1": True}}}), expect=2)
+# a large conductor certifies; two that mix exceed MAX_CONDUCTOR in their lcm
+@example(case=("check-rmatrix", {"file": twisted_flip_doc(997)}), expect=0)
+@example(case=("check-rmatrix", {"file": twisted_flip_doc(840)}), expect=2)
 @example(case=("char", {"file": Z2_COUPLE, "element": {"cycles": [[True, 2]]}}), expect=2)
 def test_cli_exits_0_1_or_2_on_generated_json(case, expect):
     code, _, err = run(*case)

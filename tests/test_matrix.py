@@ -10,6 +10,7 @@ from ybw.matrix import (
     SparseOperator,
     TensorIndex,
     amplify,
+    first_differing_row,
     flip_operator,
     gate_product,
     gate_trace,
@@ -230,6 +231,43 @@ def test_gate_trace_matches_gate_product():
                     op = random_phase_permutation(rng, mid, (1, 2, 3, 4, 8, 12)[rng.below(6)])
                 word.append((op, start, stop))
             assert gate_trace(dims, word) == gate_product(dims, word).trace(), (dims, word)
+
+
+def test_first_differing_row_matches_gate_product():
+    # a word against itself, with a gate and its inverse inserted (over a
+    # conductor the word may lack, so the engines' exponent moduli differ),
+    # or with one gate replaced; a non-monomial gate sends a pair to the
+    # products
+    inv_sqrt2 = (zeta(8) + zeta(8, 7)) / 2
+    h = ExactMatrix.from_entries(2, 2, {(0, 0): inv_sqrt2, (0, 1): inv_sqrt2,
+                                        (1, 0): inv_sqrt2, (1, 1): -inv_sqrt2})
+    rng = Lcg64(71)
+    outcomes = set()
+
+    def random_gate(dims):
+        start = rng.below(len(dims))
+        stop = start + 1 + rng.below(len(dims) - start)
+        mid = prod(dims[start:stop])
+        if mid == 2 and rng.below(8) == 0:
+            return h, start, stop
+        return random_phase_permutation(rng, mid, (1, 2, 3, 4, 5, 12)[rng.below(6)]), start, stop
+
+    for dims in ((2, 2, 2), (1, 2, 2, 2), (2, 3, 2)):
+        for _ in range(60):
+            lhs = [random_gate(dims) for _ in range(rng.below(6))]
+            rhs = list(lhs)
+            kind = rng.below(3)
+            k = rng.below(len(rhs) + 1)
+            if kind == 0:
+                op, start, stop = random_gate(dims)
+                rhs[k:k] = [(op, start, stop), (op.dagger(), start, stop)]
+            elif kind == 1 and rhs:
+                rhs[k - 1] = random_gate(dims)
+            a, b = gate_product(dims, lhs).rows, gate_product(dims, rhs).rows
+            expected = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
+            assert first_differing_row(dims, lhs, rhs) == expected, (dims, lhs, rhs)
+            outcomes.add(expected is None)
+    assert outcomes == {True, False}
 
 
 def test_amplify_dimension_check():

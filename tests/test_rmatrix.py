@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from ybw.cyclo import scalar, zeta
+from ybw import matrix
+from ybw.cyclo import ONE, scalar, zeta
 from ybw.errors import (
+    DimensionMismatchError,
     NoMatchError,
     NonIntegralBlocksError,
     NotInvolutiveError,
@@ -13,13 +15,14 @@ from ybw.errors import (
     SupportExceedsLevelError,
     YBEFailsError,
 )
-from ybw.matrix import ExactMatrix, amplify, flip_operator, kron
+from ybw.matrix import ExactMatrix, SparseOperator, amplify, flip_operator, kron
 from ybw.perms import FinitePermutation
 from ybw.rmatrix import (
     ThomaParams,
     boxplus,
     char_cycle,
     cycle_trace,
+    cycle_trace_sequence,
     extract_thoma,
     merge_thoma,
     normal_form_from_thoma,
@@ -155,7 +158,53 @@ def seeded_candidates(rng, d):
                                           for i in range(n) for j in range(n)})
 
 
-def test_verify_rmatrix_matches_the_dense_oracle():
+def seeded_monomial_candidates(rng, d, conductor):
+    """Involutive unitary rooted permutation matrices on C^d (x) C^d, each
+    entry +-zeta_conductor^k: a twisted flip and a Lyubashenko solution
+    conjugated by a diagonal phase unitary, which satisfy the braid
+    relation, and an involution with conjugate phases on its pairs, which
+    mostly does not."""
+    n = d * d
+
+    def root():
+        return rng.choice([1, -1]) * zeta(conductor, rng.randrange(conductor))
+
+    q = [[scalar(rng.choice([1, -1])) if i == j else None for j in range(d)] for i in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            q[i][j] = root()
+            q[j][i] = q[i][j].conj()
+    yield ExactMatrix.from_entries(n, n, {(j * d + i, i * d + j): q[i][j]
+                                          for i in range(d) for j in range(d)})
+    f = rng.sample(range(d), d)
+    f_inv = {y: x for x, y in enumerate(f)}
+    phase = [zeta(conductor, rng.randrange(conductor)) for _ in range(d)]
+    yield ExactMatrix.from_entries(n, n, {
+        (f[y] * d + f_inv[x], x * d + y):
+            phase[f[y]] * phase[f_inv[x]] * phase[x].conj() * phase[y].conj()
+        for x in range(d) for y in range(d)})
+    points = rng.sample(range(n), n)
+    entries = {}
+    while points:
+        a = points.pop()
+        if points and rng.random() < 0.7:
+            b = points.pop()
+            entries[a, b] = root()
+            entries[b, a] = entries[a, b].conj()
+        else:
+            entries[a, a] = scalar(rng.choice([1, -1]))
+    yield ExactMatrix.from_entries(n, n, entries)
+
+
+def verify_outcome(m, d):
+    try:
+        verify_rmatrix(m, d)
+    except (NotInvolutiveError, NotUnitaryError, YBEFailsError) as exc:
+        return type(exc), str(exc)
+    return None, ""
+
+
+def test_verify_rmatrix_matches_the_dense_oracle(monkeypatch):
     # the sparse checks must give the dense products' verdict and message
     cases = [(ExactMatrix.diag([1, 1, 1, -1]), 2), (ExactMatrix.diag([1, 2, Fraction(1, 2), 1]), 2),
              (ExactMatrix.from_entries(4, 4, {(0, 0): 1, (0, 1): 1, (1, 1): -1,
@@ -177,9 +226,102 @@ def test_verify_rmatrix_matches_the_dense_oracle():
         assert got == expected, (m.data, d)
         seen.add(expected[0])
     assert seen == {None, NotInvolutiveError, NotUnitaryError, YBEFailsError}
+    # monomial candidates over Q(zeta_3) and Q(zeta_4) run the braid check
+    # on the phase-permutation engine, and never through a sparse product;
+    # every candidate, given as sparse rows, gets the same outcome
+    rng = random.Random(2409)
+    monomial = [(m, d) for conductor in (3, 4) for _ in range(25) for d in (2, 3)
+                for m in seeded_monomial_candidates(rng, d, conductor)]
+    products = []
+    product = matrix._product
+    monkeypatch.setattr(matrix, "_product", lambda dims, gates: products.append(1) or product(dims, gates))
+    seen = set()
+    for m, d in monomial:
+        expected = dense_verify_outcome(m, d)
+        assert verify_outcome(m, d) == expected, (m.data, d)
+        seen.add(expected[0])
+    assert not products
+    assert seen == {None, YBEFailsError}
+    for m, d in cases + monomial:
+        assert verify_outcome(SparseOperator.from_dense(m), d) == verify_outcome(m, d), (m.data, d)
+
+
+@pytest.mark.parametrize("dim, d, broken, witness", [
+    (4, 2, {1: [(2, ONE), (1, ONE)]}, "row 1 of R has column 1 out of order or outside 0..3"),
+    (4, 2, {1: [(1, ONE), (1, ONE)]}, "row 1 of R has column 1 out of order"),
+    (4, 2, {2: [(4, ONE)]}, "row 2 of R has column 4 out of order or outside 0..3"),
+    (4, 2, {3: [(-1, ONE)]}, "row 3 of R has column -1 out of order"),
+    (4, 2, {0: [(0, ONE), (2, scalar(0))]}, "row 0 of R holds a zero at column 2"),
+    (4, 2, {3: None}, "3 sparse rows for dimension 4"),
+    (9, 2, {}, "expected a 4x4 matrix, got 9x9"),
+    # two halves in one column sum to 1 in every product and equal their
+    # own adjoint, so without the check R = [[1/2]] would certify
+    (1, 1, {0: [(0, scalar(Fraction(1, 2))), (0, scalar(Fraction(1, 2)))]},
+     "row 0 of R has column 0 out of order"),
+])
+def test_verify_rmatrix_rejects_rows_out_of_canonical_form(dim, d, broken, witness):
+    rows = [[(i, ONE)] for i in range(dim)]
+    for i, row in broken.items():
+        rows[i] = row
+    with pytest.raises(DimensionMismatchError, match=witness):
+        verify_rmatrix(SparseOperator(dim, [row for row in rows if row is not None]), d)
+
+
+def test_verify_rmatrix_from_rows_keeps_both_forms():
+    m = q_twisted_flip([[1, zeta(3)], [zeta(3, 2), -1]]).m
+    r = verify_rmatrix(SparseOperator.from_dense(m), 2)
+    assert r.m == m and r.sparse == SparseOperator.from_dense(m)
 
 
 # -- boxplus ----------------------------------------------------------
+
+
+def dense_boxplus(*parts):
+    """The box-sum filled entry by entry into a dense matrix: the oracle of
+    the row-built boxplus."""
+    big = sum(p.d for p in parts)
+    out = ExactMatrix.zeros(big * big, big * big)
+    owner = []
+    offset = 0
+    for k, p in enumerate(parts):
+        for a, arow in enumerate(p.m.data):
+            u_out, v_out = divmod(a, p.d)
+            row = out.data[(u_out + offset) * big + v_out + offset]
+            for b, val in enumerate(arow):
+                if not val.is_zero():
+                    u_in, v_in = divmod(b, p.d)
+                    row[(u_in + offset) * big + v_in + offset] = val
+        owner += [k] * p.d
+        offset += p.d
+    for u in range(big):
+        for v in range(big):
+            if owner[u] != owner[v]:
+                out.data[v * big + u][u * big + v] = scalar(1)
+    return out
+
+
+def test_row_built_boxplus_and_cycle_traces_match_dense_oracles():
+    # scalar blocks, a dense (non-monomial) R and q-twisted flips mixed;
+    # cycle traces from the rows against powers of the dense partial trace
+    i4 = zeta(4)
+    twisted = [[-1, zeta(3)], [zeta(3, 2), 1]]
+    cases = [
+        (scalar_rmatrix(2, -1), hadamard_conjugated_flip(), q_twisted_flip(twisted)),
+        (q_twisted_flip([[1, i4, -1], [-i4, -1, zeta(3)], [-1, zeta(3, 2), 1]]), scalar_rmatrix(1, +1)),
+        (hadamard_conjugated_flip(), scalar_rmatrix(1, -1), hadamard_conjugated_flip()),
+        (q_twisted_flip(twisted),),
+    ]
+    for parts in cases:
+        r = boxplus(*parts)
+        assert r.m == dense_boxplus(*parts), parts
+        assert r.sparse == SparseOperator.from_dense(r.m)
+        for x in parts + (r,):
+            t = partial_trace(x)
+            power, expected = t, []
+            for _ in range(2, 2 * x.d + 2):
+                expected.append(power.trace())
+                power = power * t
+            assert cycle_trace_sequence(x, 2 * x.d + 1) == expected, x
 
 
 def test_boxplus_of_ones_is_flip():
