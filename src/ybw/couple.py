@@ -13,7 +13,10 @@ The image of a wreath element is one word of local gates, pi(t) on
 W (x) V_1 and R (as its certified sparse rows) on adjacent V-slots,
 evaluated by matrix.gate_product;
 no operator is kept between calls.  Certification checks the equation
-above as X_t pi(t') = pi(t') X_t, where X_t = R1 pi(t) R1 is a gate word.
+above as X_t pi(t') = pi(t') X_t, where X_t = R1 pi(t) R1 is a gate word,
+for t and t' in the generating set FiniteGroup.generators only: R1^2 = 1
+makes t -> X_t a homomorphism like pi, so when X_a commutes with pi(b)
+for all generators a and b, every X_t commutes with every pi(t').
 Character values do not depend on the truncation level, because the
 operators act as the identity on appended factors, nor on the element
 within its conjugacy class.  So a character is evaluated at the compact
@@ -37,7 +40,7 @@ from .errors import (
     SupportExceedsLevelError,
     SupportsNotDisjointError,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, homomorphism_failure
 from .matrix import ExactMatrix, SparseOperator, amplify, gate_product, gate_trace
 from .perms import adjacent_word
 from .rmatrix import RMatrix
@@ -80,9 +83,12 @@ class YangBaxterCouple:
 
 def certify_couple(group: FiniteGroup, r: RMatrix, pi_images, w: int) -> YangBaxterCouple:
     """Check that pi is a unitary representation on W (x) V and that the
-    extended reflection equation holds over every pair of group elements,
-    regrouped as X_t pi(u) = pi(u) X_t with X_t = R1 pi(t) R1 built once
-    per t as a gate word: two sparse products per pair (t, u)."""
+    extended reflection equation holds over every pair of group elements.
+
+    Unitarity is checked on every image, the homomorphism property by
+    groups.homomorphism_failure, and the equation, regrouped as
+    X_a pi(b) = pi(b) X_a with X_a = R1 pi(a) R1 a gate word, on the pairs
+    S x S of generators: two sparse products per pair."""
     pi = tuple(pi_images)
     if len(pi) != group.order:
         raise NotHomomorphismError(
@@ -94,19 +100,20 @@ def certify_couple(group: FiniteGroup, r: RMatrix, pi_images, w: int) -> YangBax
                 f"pi image of element {t} is {m.rows}x{m.cols}, expected {wd}x{wd}")
         if not (m.dagger() * m).is_identity():
             raise NotUnitaryError(f"pi image of element {t} is not unitary")
-    for a in range(group.order):
-        for b in range(group.order):
-            if pi[a] * pi[b] != pi[group.mul(a, b)]:
-                raise NotHomomorphismError(f"pi({a}) pi({b}) != pi({a}*{b})")
+    failure = homomorphism_failure(group, pi)
+    if failure is not None:
+        a, b = failure
+        raise NotHomomorphismError(f"pi({a}) pi({b}) != pi({a}*{b})")
     dims = (w, r.d, r.d)
     r1 = (r.sparse, 1, 3)
-    xs = [gate_product(dims, [r1, (m, 0, 2), r1]) for m in pi]
-    pi_amp = [amplify(m, dims, 0, 2) for m in pi]
-    for t in range(group.order):
-        for u in range(group.order):
-            if xs[t] * pi_amp[u] != pi_amp[u] * xs[t]:
+    gens = group.generators
+    xs = {a: gate_product(dims, [r1, (pi[a], 0, 2), r1]) for a in gens}
+    pi_amp = {b: amplify(pi[b], dims, 0, 2) for b in gens}
+    for a in gens:
+        for b in gens:
+            if xs[a] * pi_amp[b] != pi_amp[b] * xs[a]:
                 raise ExtendedREFailsError(
-                    f"extended reflection equation fails on the pair ({t},{u})")
+                    f"extended reflection equation fails on the pair ({a},{b})")
     return YangBaxterCouple(group, r, pi, w, _certified=True)
 
 

@@ -14,7 +14,7 @@ from ybw.construct import (
 from ybw.couple import certify_couple, character
 from ybw.cyclo import CycloScalar
 from ybw.errors import ExtendedREFailsError, NonIntegralBlocksError
-from ybw.groups import catalog_irreps, load_group
+from ybw.groups import CATALOG_NAMES, catalog_irreps, load_group
 from ybw.hirai import thoma_restriction, validate_params
 from ybw.matrix import ExactMatrix, SparseOperator, amplify, flip_operator
 from ybw.rmatrix import (
@@ -196,3 +196,15 @@ def test_end_to_end_with_d_override():
     sample = [rng.wreath_element(p.group, 1, 3) for _ in range(10)]
     report = end_to_end_check(p, sample, d=4)
     assert report.ok
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_every_catalog_group_builds_and_certifies(name):
+    # one entry dim / (2 * sum of dims) per irrep and sign: total mass 1
+    irreps = catalog_irreps(load_group(name))
+    total = sum(rep.dim for rep in irreps)
+    p = params_for(name, {(rep.label, eps): [Fraction(rep.dim, 2 * total)]
+                          for rep in irreps for eps in (0, 1)})
+    couple, layout = build_couple(p)
+    assert couple.d == sum(b.size for b in layout.blocks)
+    assert extract_thoma(couple.r) == thoma_restriction(p)

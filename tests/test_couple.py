@@ -1,8 +1,10 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from ybw.construct import build_couple
 from ybw.couple import (
     MAX_OPERATOR_DIM,
     certify_couple,
@@ -14,12 +16,14 @@ from ybw.couple import (
 from ybw.cyclo import CycloScalar, zeta
 from ybw.errors import (
     ExtendedREFailsError,
+    NotHomomorphismError,
     NotUnitaryError,
     OperatorTooLargeError,
     SupportExceedsLevelError,
     SupportsNotDisjointError,
 )
-from ybw.groups import load_group
+from ybw.groups import catalog_irreps, load_group
+from ybw.hirai import validate_params
 from ybw import matrix
 from ybw.matrix import ExactMatrix, SparseOperator, amplify, flip_operator, gate_product, gate_trace
 from ybw.perms import FinitePermutation
@@ -168,6 +172,138 @@ def test_certify_couple_names_the_pair_of_the_amplified_oracle():
                                         f"({expected[0]},{expected[1]})"), (name, w, r.m.data)
             outcomes.add(expected)
     assert None in outcomes and len(outcomes) > 3
+
+
+def all_pairs_couple_failure(group, r, pi, w):
+    """The sweep certify_couple made over every pair of G x G before it
+    checked generators only, kept as its oracle: the error class and the
+    element or pair of the first failing certificate, or None."""
+    for t, m in enumerate(pi):
+        if not (m.dagger() * m).is_identity():
+            return NotUnitaryError, t
+    for a in range(group.order):
+        for b in range(group.order):
+            if pi[a] * pi[b] != pi[group.mul(a, b)]:
+                return NotHomomorphismError, (a, b)
+    for t in range(group.order):
+        for u in range(group.order):
+            if not ere_pair_holds(r, pi, w, t, u):
+                return ExtendedREFailsError, (t, u)
+    return None
+
+
+def ere_pair_holds(r, pi, w, t, u):
+    """X_t pi(u) = pi(u) X_t with X_t = R1 pi(t) R1, on one pair."""
+    dims = (w, r.d, r.d)
+    r1 = (r.sparse, 1, 3)
+    x = gate_product(dims, [r1, (pi[t], 0, 2), r1])
+    amp = amplify(pi[u], dims, 0, 2)
+    return x * amp == amp * x
+
+
+def seeded_built_couple(rng, group):
+    """A built couple from one or two catalog entries of equal mass,
+    conjugated by a seeded monomial unitary U on V: (U pi U^dagger,
+    (U (x) U) R (U (x) U)^dagger) is a couple again."""
+    irreps = catalog_irreps(group)
+    keys = {(rng.choice(irreps).label, rng.choice((0, 1))) for _ in range(rng.choice((1, 2)))}
+    params = validate_params(group, irreps, {k: [Fraction(1, len(keys))] for k in keys}, {})
+    couple, _ = build_couple(params)
+    d = couple.d
+    u = seeded_monomial_unitary(rng, d)
+    uu = u.kron(u)
+    r = verify_rmatrix(uu * couple.r.m * uu.dagger(), d)
+    return r, [u * m * u.dagger() for m in couple.pi]
+
+
+def seeded_monomial_unitary(rng, d):
+    return ExactMatrix.from_entries(d, d, {(i, j): zeta(4, rng.randrange(4))
+                                           for j, i in enumerate(rng.sample(range(d), d))})
+
+
+def seeded_sum_pi(rng, group, d):
+    """U (rho_1 (+) rho_2 (+) ...) U^dagger for seeded catalog irreps rho_i
+    of total dimension d, and U a Hadamard gate on two seeded coordinates
+    between seeded monomial unitaries: a unitary representation, which
+    need not form a couple with a given R."""
+    irreps = catalog_irreps(group)
+    blocks, size = [], 0
+    while size < d:
+        rep = rng.choice([rep for rep in irreps if rep.dim <= d - size])
+        blocks.append((size, rep))
+        size += rep.dim
+    u = seeded_monomial_unitary(rng, d)
+    if d > 1:
+        half = (zeta(8) + zeta(8, 7)) / 2  # 1/sqrt(2)
+        h = ExactMatrix.from_entries(d, d, {(0, 0): half, (0, 1): half, (1, 0): half,
+                                            (1, 1): -half, **{(i, i): 1 for i in range(2, d)}})
+        u = u * h * seeded_monomial_unitary(rng, d)
+    pi = []
+    for t in range(group.order):
+        m = ExactMatrix.from_entries(d, d, {
+            (at + i, at + j): v for at, rep in blocks
+            for i, row in enumerate(rep.images[t].data) for j, v in enumerate(row)})
+        pi.append(u * m * u.dagger())
+    return pi
+
+
+def test_certify_couple_agrees_with_the_all_pairs_oracle():
+    # seeded couples and broken variants of them: the generator checks must
+    # give the verdict and error class of the G x G sweep, and the pair they
+    # name must fail under it
+    rng = random.Random(2410)
+    outcomes = set()
+    for name in ("s3", "d4", "q8", "klein4", "z4", "z6"):
+        group = load_group(name)
+        gens = group.generators
+        others = [t for t in range(1, group.order) if t not in gens]
+        for _ in range(8):
+            r, pi = seeded_built_couple(rng, group)
+            d = r.d
+            alien = rng.choice([scalar_rmatrix(d, 1), scalar_rmatrix(d, -1),
+                                verify_rmatrix(flip_operator(d, d), d)])
+            cases = [(r, pi), (alien, pi), (seeded_built_couple(rng, group)[0], pi),
+                     (r, seeded_sum_pi(rng, group, d))]
+            if len(others) >= 2:
+                t, u = rng.sample(others, 2)
+                swapped = list(pi)
+                swapped[t], swapped[u] = pi[u], pi[t]
+                cases.append((r, swapped))
+            scaled = list(pi)
+            t = rng.choice(others)
+            scaled[t] = pi[t].scaled(zeta(12, rng.choice((3, 4, 6, 8, 9))))
+            cases.append((r, scaled))
+            cases.append((r, [pi[0].scaled(-1)] + pi[1:]))
+            for r_case, pi_case in cases:
+                if r_case.d != d:
+                    continue
+                expected = all_pairs_couple_failure(group, r_case, pi_case, 1)
+                try:
+                    certify_couple(group, r_case, pi_case, 1)
+                    got = None
+                except (NotHomomorphismError, ExtendedREFailsError) as exc:
+                    got = type(exc)
+                    a, b = map(int, re.findall(r"\d+", str(exc))[:2])
+                    if got is ExtendedREFailsError:
+                        assert a in gens and b in gens
+                        assert not ere_pair_holds(r_case, pi_case, 1, a, b)
+                    else:
+                        assert b == 0 if a == 0 else b in gens
+                        assert pi_case[a] * pi_case[b] != pi_case[group.mul(a, b)]
+                assert got == (expected and expected[0]), (name, r_case.m.data)
+                outcomes.add(got)
+    assert outcomes == {None, NotHomomorphismError, ExtendedREFailsError}
+
+
+def test_certify_couple_checks_the_identity_image_of_the_trivial_group():
+    # the trivial group has no generators, so no pair of G x S is left: the
+    # pair (0, 0) alone must reject pi(0) = -1
+    trivial = load_group("trivial")
+    assert trivial.generators == ()
+    r = scalar_rmatrix(1, 1)
+    certify_couple(trivial, r, [ExactMatrix.identity(1)], 1)
+    with pytest.raises(NotHomomorphismError, match=r"^pi\(0\) pi\(0\) != pi\(0\*0\)$"):
+        certify_couple(trivial, r, [ExactMatrix.diag([-1])], 1)
 
 
 def test_rep_identity(pm_couple, z2):

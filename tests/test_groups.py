@@ -1,3 +1,6 @@
+import itertools
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,7 +8,9 @@ import pytest
 from ybw.cyclo import CycloScalar, zeta
 from ybw.errors import (
     NotAGroupError,
+    NotHomomorphismError,
     NotIrreducibleError,
+    NotUnitaryError,
     UnknownCatalogNameError,
 )
 from ybw.groups import (
@@ -136,3 +141,95 @@ def test_trivial_rep_certifies_everywhere():
     for name in ("z5", "d4", "q8"):
         g = load_group(name)
         verify_irrep(g, [ExactMatrix.identity(1)] * g.order, "triv")
+
+
+def all_pairs_irrep_failure(group, images):
+    """The sweep verify_irrep made over every pair of G x G before it
+    checked generators only, kept as its oracle: the error class of the
+    first failing certificate, or None."""
+    for m in images:
+        if not (m.dagger() * m).is_identity():
+            return NotUnitaryError
+    for a in range(group.order):
+        for b in range(group.order):
+            if images[a] * images[b] != images[group.mul(a, b)]:
+                return NotHomomorphismError
+    norm = sum((m.trace().norm_sq() for m in images), CycloScalar.from_rational(0))
+    return None if (norm / group.order).is_one() else NotIrreducibleError
+
+
+def direct_sum(a, b):
+    entries = {(i, j): v for i, row in enumerate(a.data) for j, v in enumerate(row)}
+    entries.update({(a.rows + i, a.cols + j): v
+                    for i, row in enumerate(b.data) for j, v in enumerate(row)})
+    return ExactMatrix.from_entries(a.rows + b.rows, a.cols + b.cols, entries)
+
+
+def test_verify_irrep_agrees_with_the_all_pairs_oracle():
+    # catalog irreps and sums of two, perturbed away from the generators:
+    # verify_irrep must give the verdict and error class of the G x G sweep,
+    # and the pair it names must fail under it
+    rng = random.Random(2411)
+    outcomes = set()
+    for name in ("s3", "d4", "q8"):
+        group = load_group(name)
+        irreps = catalog_irreps(group)
+        others = [t for t in range(1, group.order) if t not in group.generators]
+        sums = [[direct_sum(x, y) for x, y in zip(rng.choice(irreps).images,
+                                                   rng.choice(irreps).images)]
+                for _ in range(3)]
+        for images in [list(rep.images) for rep in irreps] + sums:
+            t, u = rng.sample(others, 2)
+            swapped = list(images)
+            swapped[t], swapped[u] = images[u], images[t]
+            scaled = list(images)
+            scaled[t] = images[t].scaled(zeta(4, rng.choice((1, 2, 3))))
+            stretched = list(images)
+            stretched[u] = images[u].scaled(2)
+            moved = list(images)
+            moved[t] = images[u] * images[t]
+            for case in (images, swapped, scaled, stretched, moved,
+                         [images[0].scaled(-1)] + images[1:]):
+                expected = all_pairs_irrep_failure(group, case)
+                try:
+                    verify_irrep(group, case, "perturbed")
+                    got = None
+                except (NotUnitaryError, NotHomomorphismError, NotIrreducibleError) as exc:
+                    got = type(exc)
+                    if got is NotHomomorphismError:
+                        a, b = map(int, re.findall(r"image\((\d+)\)", str(exc))[:2])
+                        assert b == 0 if a == 0 else b in group.generators
+                        assert case[a] * case[b] != case[group.mul(a, b)]
+                assert got == expected, (name, case)
+                outcomes.add(got)
+    assert outcomes == {None, NotUnitaryError, NotHomomorphismError, NotIrreducibleError}
+
+
+def test_verify_irrep_checks_the_identity_image_of_the_trivial_group():
+    # no generators: the pair (0, 0) alone must reject the image -1
+    trivial = load_group("trivial")
+    assert trivial.generators == ()
+    with pytest.raises(NotHomomorphismError,
+                       match=r"^sign: image\(0\) \* image\(0\) != image\(0\*0\)$"):
+        verify_irrep(trivial, [ExactMatrix.diag([-1])], "sign")
+
+
+@pytest.mark.parametrize("name", ALL_CATALOG + ["custom"])
+def test_generators_are_sorted_and_generate(name):
+    if name == "custom":
+        # S3 as the permutations of {0, 1, 2} in lexicographic order, each
+        # product taken right to left
+        perms = sorted(itertools.permutations(range(3)))
+        index = {p: i for i, p in enumerate(perms)}
+        group = load_group([[index[tuple(p[q[i]] for i in range(3))] for q in perms]
+                            for p in perms])
+        size = 2
+    else:
+        group = load_group(name)
+        size = {"trivial": 0, "z1": 0, "klein4": 2, "s3": 2, "d4": 2, "q8": 2}.get(name, 1)
+    gens = group.generators
+    assert list(gens) == sorted(gens) and len(gens) == size
+    assert group.closure(gens) == frozenset(range(group.order))
+    # the greedy choice passes over -1 (index 1) in q8
+    if name == "q8":
+        assert gens == (2, 4)
