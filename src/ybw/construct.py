@@ -4,8 +4,8 @@ The space V splits into blocks indexed by (irrep, epsilon, i), each a
 tensor product of a copy of the irrep space (dimension dim) and a
 multiplicity space of dimension d * a / dim.  The block R-matrix flips the
 irrep components with sign (-1)^epsilon and leaves the multiplicity
-components in place; the full R is the box-sum over blocks, and pi acts
-block-diagonally as irrep (x) identity.
+components in place, one entry per sparse row; the full R is the box-sum
+over blocks, and pi acts block-diagonally as irrep (x) identity.
 
 Built couples additionally satisfy the exchange identity
 R (pi(t) (x) 1) R = 1 (x) pi(t), checked exactly, which forces
@@ -21,7 +21,7 @@ from .couple import YangBaxterCouple, certify_couple, character
 from .cyclo import CycloScalar, MINUS_ONE, ONE
 from .errors import ExtendedREFailsError, NonIntegralBlocksError
 from .hirai import HiraiParams, closed_form_character, is_yb_admissible, thoma_restriction
-from .matrix import ExactMatrix, amplify, gate_product
+from .matrix import ExactMatrix, SparseOperator, amplify, gate_product
 from .rmatrix import RMatrix, ThomaParams, boxplus, extract_thoma, verify_rmatrix
 from .wreath import WreathElement
 
@@ -79,19 +79,18 @@ def build_layout(p: HiraiParams, d: int) -> BlockLayout:
     return BlockLayout(d, tuple(blocks))
 
 
-def block_rmatrix(dim_v: int, dim_w: int, eps: int) -> ExactMatrix:
-    """The signed flip of the irrep components on (V (x) W)^(x 2)."""
+def block_rmatrix(dim_v: int, dim_w: int, eps: int) -> SparseOperator:
+    """The signed flip of the irrep components on (V (x) W)^(x 2): row
+    (c, b, a, e) holds the sign at column (a, b, c, e)."""
     size = dim_v * dim_w
     sign = ONE if eps == 0 else MINUS_ONE
-    m = ExactMatrix.zeros(size * size, size * size)
-    for a in range(dim_v):
+    rows = []
+    for c in range(dim_v):
         for b in range(dim_w):
-            for cc in range(dim_v):
+            for a in range(dim_v):
                 for e in range(dim_w):
-                    src = (a * dim_w + b) * size + (cc * dim_w + e)
-                    dst = (cc * dim_w + b) * size + (a * dim_w + e)
-                    m.data[dst][src] = sign
-    return m
+                    rows.append([((a * dim_w + b) * size + c * dim_w + e, sign)])
+    return SparseOperator(size * size, rows)
 
 
 def certified_block_rmatrix(dim_v: int, dim_w: int, eps: int) -> RMatrix:

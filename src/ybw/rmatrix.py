@@ -2,8 +2,8 @@
 
 An R-matrix here is an involutive solution of the Yang-Baxter braid
 relation on V (x) V, certified by exact checks on its sparse rows and gate
-words (verify_rmatrix).  A certified RMatrix keeps those rows next to the
-dense matrix, and the builders, cycle traces and images read the rows:
+words (verify_rmatrix).  A certified RMatrix is those rows, which the
+builders, cycle traces and images read (RMatrix.m is built on request):
 normal forms and built R-matrices have one entry per row, so that work is
 linear in the d^2 rows, and the braid relation of such an R is compared
 on the phase-permutation engine of matrix.first_differing_row.  The
@@ -87,17 +87,21 @@ class ThomaParams:
 
 class RMatrix:
     """A certified involutive Yang-Baxter solution on V (x) V, dim V = d,
-    as the dense matrix m and its sparse rows."""
+    as its sparse rows."""
 
-    __slots__ = ("d", "m", "sparse", "_cycle_traces")
+    __slots__ = ("d", "sparse", "_cycle_traces")
 
-    def __init__(self, d: int, m: ExactMatrix, sparse: SparseOperator, _certified: bool = False):
+    def __init__(self, d: int, sparse: SparseOperator, _certified: bool = False):
         if not _certified:
             raise TypeError("use verify_rmatrix() to construct a certified RMatrix")
         self.d = d
-        self.m = m
         self.sparse = sparse
         self._cycle_traces: list[CycloScalar] = []
+
+    @property
+    def m(self) -> ExactMatrix:
+        """The dense d^2 x d^2 matrix, built from the rows on each call."""
+        return self.sparse.to_dense()
 
     def __repr__(self) -> str:
         return f"RMatrix(d={self.d})"
@@ -106,19 +110,18 @@ class RMatrix:
 def verify_rmatrix(m: ExactMatrix | SparseOperator, d: int) -> RMatrix:
     """Certify involutivity, unitarity and the braid relation, exactly.
 
-    R comes dense or as sparse rows, which must be canonical (_check_rows);
-    the missing form is built once.  Each check runs on the sparse rows:
-    R^2 = 1 on the sparse square of R, then unitarity as R^dagger = R
-    (given R^-1 = R), then R12 R23 R12 = R23 R12 R23 as two gate words
-    compared by first_differing_row, so no amplified R is built.
+    R comes dense, read into rows once, or as rows, which must be canonical
+    (_check_rows).  Each check runs on the rows: R^2 = 1 on the sparse
+    square of R, then unitarity as R^dagger = R (given R^-1 = R), then
+    R12 R23 R12 = R23 R12 R23 as two gate words compared by
+    first_differing_row, so no amplified R is built.
     """
-    sparse = isinstance(m, SparseOperator)
-    shape = (m.dim, m.dim) if sparse else (m.rows, m.cols)
+    dense = isinstance(m, ExactMatrix)
+    shape = (m.rows, m.cols) if dense else (m.dim, m.dim)
     if shape != (d * d, d * d):
         raise DimensionMismatchError(f"expected a {d * d}x{d * d} matrix, got {shape[0]}x{shape[1]}")
-    if sparse:
-        _check_rows(m)
-    s = m if sparse else SparseOperator.from_dense(m)
+    s = SparseOperator.from_dense(m) if dense else m
+    _check_rows(s)
     for i, row in enumerate((s * s).rows):
         entries = dict(row)
         entries.setdefault(i, ZERO)
@@ -134,7 +137,7 @@ def verify_rmatrix(m: ExactMatrix | SparseOperator, d: int) -> RMatrix:
     if idx is not None:
         raise YBEFailsError(
             f"braid relation fails: row {idx} of R12 R23 R12 and R23 R12 R23 differ")
-    return RMatrix(d, m.to_dense() if sparse else m, s, _certified=True)
+    return RMatrix(d, s, _certified=True)
 
 
 def _check_rows(s: SparseOperator) -> None:

@@ -69,10 +69,64 @@ def test_build_rejects_parameters_that_are_not_admissible():
             build_couple(p, d)
 
 
+def dense_block_rmatrix(dim_v, dim_w, eps):
+    """The signed flip on (V (x) W)^(x 2) filled into a dense matrix entry
+    by entry: the oracle for the rows that block_rmatrix writes."""
+    size = dim_v * dim_w
+    sign = 1 if eps == 0 else -1
+    m = ExactMatrix.zeros(size * size, size * size)
+    for a in range(dim_v):
+        for b in range(dim_w):
+            for c in range(dim_v):
+                for e in range(dim_w):
+                    src = (a * dim_w + b) * size + (c * dim_w + e)
+                    dst = (c * dim_w + b) * size + (a * dim_w + e)
+                    m.data[dst][src] = CycloScalar.from_rational(sign)
+    return m
+
+
 def test_block_rmatrix_smallest():
-    assert block_rmatrix(1, 1, 0) == ExactMatrix.identity(1)
-    assert block_rmatrix(1, 2, 1) == ExactMatrix.identity(4).scaled(-1)
-    assert block_rmatrix(2, 1, 0) == flip_operator(2, 2)
+    assert block_rmatrix(1, 1, 0).to_dense() == ExactMatrix.identity(1)
+    assert block_rmatrix(1, 2, 1).to_dense() == ExactMatrix.identity(4).scaled(-1)
+    assert block_rmatrix(2, 1, 0).to_dense() == flip_operator(2, 2)
+
+
+@pytest.mark.parametrize("dim_v", [1, 2, 3])
+@pytest.mark.parametrize("dim_w", [1, 2, 3])
+@pytest.mark.parametrize("eps", [0, 1])
+def test_block_rmatrix_rows_match_dense_oracle(dim_v, dim_w, eps):
+    assert block_rmatrix(dim_v, dim_w, eps) == SparseOperator.from_dense(
+        dense_block_rmatrix(dim_v, dim_w, eps))
+
+
+def forbid_dense_above(monkeypatch, limit):
+    """Make ExactMatrix.zeros raise on more than ``limit`` entries.
+
+    R on V (x) V is d^2 x d^2, but nothing on the build, certify and
+    extract paths needs more than d x d (the partial trace T, pi images),
+    so a dense zero matrix above d * d entries is a dense R."""
+    zeros = ExactMatrix.zeros.__func__
+
+    def checked(cls, rows, cols):
+        if rows * cols > limit:
+            raise AssertionError(f"dense {rows}x{cols} matrix built")
+        return zeros(cls, rows, cols)
+
+    monkeypatch.setattr(ExactMatrix, "zeros", classmethod(checked))
+
+
+def test_normal_form_builds_and_extracts_without_dense_r(monkeypatch):
+    t = ThomaParams.make([Fraction(32, 64), Fraction(16, 64)], [Fraction(16, 64)])
+    forbid_dense_above(monkeypatch, 64 * 64)
+    assert extract_thoma(normal_form_from_thoma(t, 64)) == t
+
+
+def test_couple_builds_without_dense_block(monkeypatch):
+    # s3_std: d = 2 and one block of size 2, whose dense form has 16 entries
+    p = params_for("s3", {("std", 0): [Fraction(1)]})
+    forbid_dense_above(monkeypatch, 2 * 2)
+    couple, _ = build_couple(p)
+    assert couple.d == 2 and extract_thoma(couple.r) == thoma_restriction(p)
 
 
 def test_block_rmatrix_thoma():

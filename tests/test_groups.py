@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,89 @@ def test_broken_associativity_rejected():
     # an empty table has no identity; it must not certify a couple vacuously
     with pytest.raises(NotAGroupError, match="empty"):
         load_group([])
+
+
+def all_triples_verdict(table):
+    """The check FiniteGroup made before it used Light's test, kept as its
+    oracle: range, identity and right inverses, then associativity on all
+    n^3 triples.  The first failure's message, or None for a group."""
+    n = len(table)
+    if n == 0:
+        return "empty"
+    for i, row in enumerate(table):
+        if len(row) != n or not all(0 <= v < n for v in row):
+            return f"row {i}"
+    if any(table[0][j] != j or table[j][0] != j for j in range(n)):
+        return "identity"
+    if any(0 not in row for row in table):
+        return "inverse"
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return "associativity"
+    return None
+
+
+def test_light_associativity_test_agrees_with_all_triples():
+    # seeded tables of orders 2-12 with one or two entries off the identity
+    # row and column changed, the z3 case above among them: same verdict as
+    # the n^3 sweep, and the triple Light's test names does fail
+    rng = random.Random(90210)
+    tables = [[[(a + b) % 3 for b in range(3)] for a in range(3)]]
+    tables[0][1][1] = 1
+    names = [f"z{n}" for n in range(2, 13)] + ["klein4", "s3", "d4", "q8"]
+    for name in names:
+        base = [list(row) for row in load_group(name).table]
+        n = len(base)
+        tables.append(base)
+        for _ in range(12):
+            table = [list(row) for row in base]
+            for _ in range(rng.choice((1, 2))):
+                table[rng.randrange(1, n)][rng.randrange(1, n)] = rng.randrange(n)
+            tables.append(table)
+    # Z_k x Z_2 with (a, 1)(b, 1) = (a + b + g(a + b), 0): (1, 0) passes
+    # Light's test whatever g is, so only a later generator can fail it
+    for k in range(2, 7):
+        for _ in range(6):
+            g = [0] + [rng.randrange(k) for _ in range(k - 1)]
+            tables.append([[(u + v + (g[(u + v) % k] if u >= k <= v else 0)) % k
+                            + k * ((u // k + v // k) % 2) for v in range(2 * k)]
+                           for u in range(2 * k)])
+    verdicts = []
+    for table in tables:
+        expected = all_triples_verdict(table)
+        try:
+            group = load_group(table)
+            got = None
+        except NotAGroupError as exc:
+            got = str(exc)
+            if expected == "associativity":
+                m = re.fullmatch(r"associativity fails on triple \((\d+),(\d+),(\d+)\)", got)
+                assert m, got
+                a, b, c = map(int, m.groups())
+                assert table[table[a][b]][c] != table[a][table[b][c]]
+        else:
+            assert group.closure(group.generators) == frozenset(range(len(table)))
+        assert (got is None) == (expected is None), (table, got, expected)
+        if expected in ("identity", "inverse", "associativity"):
+            assert expected in got, (got, expected)
+        verdicts.append(expected)
+    assert verdicts.count("associativity") > 100 and verdicts.count(None) >= len(names)
+
+
+def test_large_tables_verify_in_few_comparisons():
+    # Light's test costs n^2 |S| comparisons, not n^3: a cyclic table of
+    # order 400 loads in well under a second; a table in which x x = 0 and
+    # x y = x otherwise fails on its first generator
+    start = time.perf_counter()
+    n = 400
+    assert load_group([[(a + b) % n for b in range(n)] for a in range(n)]).generators == (1,)
+    assert time.perf_counter() - start < 2
+    table = [[b if a == 0 else a if b == 0 else 0 if a == b else a for b in range(n)]
+             for a in range(n)]
+    with pytest.raises(NotAGroupError, match=r"associativity fails on triple \(\d+,1,\d+\)"):
+        load_group(table)
 
 
 def test_user_table_accepted():

@@ -12,6 +12,7 @@ from ybw.errors import SchemaError
 from ybw.groups import catalog_irreps, load_group
 from ybw.matrix import ExactMatrix, flip_operator
 from ybw.perms import FinitePermutation
+from ybw.rmatrix import boxplus, verify_rmatrix
 from ybw.rng import Lcg64
 from ybw.wreath import WreathElement
 
@@ -395,6 +396,10 @@ def test_cli_boxplus(tmp_path, capsys):
     assert "alpha=[1/4, 1/4, 1/4, 1/4]" in out
     d, m = codecs.rmatrix_file_from_json(codecs.read_json_file(out_file), "t")
     assert d == 4 and m.rows == 16
+    # the writer reads the dense matrix that RMatrix.m builds from the rows
+    d2, m2 = codecs.rmatrix_file_from_json(codecs.read_json_file(flip), "t")
+    flip2 = verify_rmatrix(m2, d2)
+    assert verify_rmatrix(m, d).sparse == boxplus(flip2, flip2).sparse
 
 
 def test_cli_params_check(capsys):
