@@ -294,6 +294,12 @@ class CycloScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.n == 1 and other.n == 1:
+            # two rationals: the same canonical form with one gcd
+            num = self.nums[0] * other.den + other.nums[0] * self.den
+            den = self.den * other.den
+            g = gcd(num, den)
+            return CycloScalar(1, (num // g,), den // g)
         n = lcm(self.n, other.n)
         a, da = self._lift(n)
         b, db = other._lift(n)
@@ -457,9 +463,50 @@ class CycloScalar:
 
     # -- rendering -----------------------------------------------------
 
+    def _descend(self, p: int) -> CycloScalar | None:
+        """self in the power basis of Q(zeta_(n/p)) for a prime p | n, or
+        None when self is not in that subfield."""
+        n, m = self.n, self.n // p
+        if m % p == 0:
+            # Phi_n(z) = Phi_m(z^p), so the subfield's basis is 1, z^p, z^2p, ...
+            if any(c for k, c in enumerate(self.nums) if k % p):
+                return None
+            return CycloScalar._make(m, list(self.nums[::p]), self.den)
+        # zeta_n^k = zeta_p^(k u) zeta_m^(k v), and 1, zeta_p, ..., zeta_p^(p-2)
+        # is a basis of Q(zeta_n) over Q(zeta_m), with zeta_p^(p-1) minus their sum
+        u, v, red = pow(m, -1, p), pow(p, -1, m), _field(m).red
+        parts = [[0] * len(red[0]) for _ in range(p - 1)]
+        for k, c in enumerate(self.nums):
+            if not c:
+                continue
+            a, row = k * u % p, red[k * v % m]
+            targets, c = ([parts[a]], c) if a < p - 1 else (parts, -c)
+            for part in targets:
+                for j, r in enumerate(row):
+                    part[j] += c * r
+        if any(any(part) for part in parts[1:]):
+            return None
+        return CycloScalar._make(m, parts[0], self.den)
+
     def __str__(self) -> str:
+        """The value in the power basis of its least conductor, the least
+        M != 2 (mod 4) with self in Q(zeta_M), so equal values print alike
+        whatever conductor a computation ended in.  The conductors with
+        self in Q(zeta_M) are closed under gcd, so dropping one prime
+        factor at a time while self stays in the subfield reaches it."""
         if self.n == 1:
             return str(Fraction(self.nums[0], self.den))
+        # the prime factors: phi(p) = p - 1 exactly when p is prime
+        primes = [p for p in _divisors(self.n)[1:] if totient(p) == p - 1]
+        value = self
+        while True:
+            lower = next((v for p in primes if value.n % p == 0
+                          for v in [value._descend(p)] if v is not None), None)
+            if lower is None:
+                return value._render()
+            value = lower
+
+    def _render(self) -> str:
         terms = []
         for k, c in enumerate(self.nums):
             if not c:

@@ -16,9 +16,14 @@ calls.  The SparseOperator product is one such gate step (_apply_gate).
 When every gate of a word has one root-of-unity entry per row, the word
 is a permutation of the basis with phases, and _phase_permutation
 evaluates it on plain int lists instead.  gate_trace takes the trace of a
-word and first_differing_row compares two words on that engine, and both
-fall back to gate_product on any other word.  R-matrix and couple
-certification, characters and R-matrix images all run on these functions.
+word there, and first_differing_row evaluates two words in one engine
+pass with one exponent modulus and compares them; both fall back to
+gate_product on any other word.  R-matrix and couple certification,
+characters and R-matrix images all run on these functions.
+
+ExactMatrix.zeros fills with the one immutable cyclo.ZERO, so reading a
+dense matrix into rows (SparseOperator.from_dense) tells its unset
+entries apart by an identity test and calls is_zero only on the others.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm, prod
 
-from .cyclo import ONE, CycloScalar, root_sum, scalar
+from .cyclo import ONE, ZERO, CycloScalar, root_sum, scalar
 from .errors import DimensionMismatchError
 
 
@@ -72,8 +77,7 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> ExactMatrix:
-        z = CycloScalar.from_rational(0)
-        return cls(rows, cols, [[z] * cols for _ in range(rows)])
+        return cls(rows, cols, [[ZERO] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> ExactMatrix:
@@ -150,7 +154,7 @@ class ExactMatrix:
     def trace(self) -> CycloScalar:
         if self.rows != self.cols:
             raise DimensionMismatchError("trace of a non-square matrix")
-        acc = CycloScalar.from_rational(0)
+        acc = ZERO
         for i in range(self.rows):
             acc = acc + self.data[i][i]
         return acc
@@ -196,7 +200,8 @@ class SparseOperator:
     def from_dense(cls, m: ExactMatrix) -> SparseOperator:
         if m.rows != m.cols:
             raise DimensionMismatchError("sparse operators are square")
-        return cls(m.rows, [[(j, v) for j, v in enumerate(row) if not v.is_zero()]
+        # the shared ZERO of unset entries is told apart by identity alone
+        return cls(m.rows, [[(j, v) for j, v in enumerate(row) if v is not ZERO and not v.is_zero()]
                             for row in m.data])
 
     def to_dense(self) -> ExactMatrix:
@@ -214,7 +219,7 @@ class SparseOperator:
         return NotImplemented
 
     def trace(self) -> CycloScalar:
-        acc = CycloScalar.from_rational(0)
+        acc = ZERO
         for i, row in enumerate(self.rows):
             for j, v in row:
                 if j == i:
@@ -295,10 +300,10 @@ def gate_trace(dims, word) -> CycloScalar:
     permutation.  Any other word is evaluated by gate_product."""
     dims = tuple(dims)
     gates = _sparse_gates(dims, word)
-    engine = _phase_permutation(dims, gates)
+    engine = _phase_permutation(dims, [gates])
     if engine is None:
         return _product(dims, gates).trace()
-    state, bits, m, n = engine
+    (state,), bits, m, n = engine
     counts = [0] * m
     mask = (1 << bits) - 1
     for i, x in enumerate(state):
@@ -311,34 +316,41 @@ def first_differing_row(dims, lhs, rhs) -> int | None:
     """The first row where gate_product(dims, lhs) and gate_product(dims,
     rhs) differ, or None when the two words give the same operator.
 
-    Two words on the phase-permutation engine, with the same exponent
-    modulus, are compared there as (column, exponent mod m) per row; any
-    other pair is compared on the rows of the two products."""
+    Two words on the phase-permutation engine are evaluated there in one
+    pass, with one exponent modulus m for both, and compared as (column,
+    exponent mod m) per row; any other pair is compared on the rows of the
+    two products."""
     dims = tuple(dims)
-    gates = [_sparse_gates(dims, lhs), _sparse_gates(dims, rhs)]
-    engines = [_phase_permutation(dims, g) for g in gates]
-    if None in engines or engines[0][2] != engines[1][2]:
-        a, b = (_product(dims, g).rows for g in gates)
-    elif engines[0][:2] == engines[1][:2]:
-        return None  # equal packed states are equal operators
+    lhs, rhs = list(lhs), list(rhs)
+    gates = _sparse_gates(dims, lhs + rhs)
+    words = [gates[:len(lhs)], gates[len(lhs):]]
+    engine = _phase_permutation(dims, words)
+    if engine is None:
+        a, b = (_product(dims, g).rows for g in words)
     else:
-        a, b = ([(x >> bits) * m + (x & ((1 << bits) - 1)) % m for x in state]
-                for state, bits, m, _ in engines)
+        states, bits, m, _ = engine
+        if states[0] == states[1]:
+            return None  # equal packed states are equal operators
+        mask = (1 << bits) - 1
+        a, b = ([(x >> bits) * m + (x & mask) % m for x in state] for state in states)
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
 
 
-def _phase_permutation(dims: tuple[int, ...], gates) -> tuple[list[int], int, int, int] | None:
-    """The product of a word of sparse gates as a permutation of the basis
-    with phases, or None when some gate does not have exactly one
+def _phase_permutation(dims: tuple[int, ...], words) -> tuple[list[list[int]], int, int, int] | None:
+    """The products of several words of sparse gates as permutations of the
+    basis with phases, or None when some gate does not have exactly one
     root-of-unity entry per row.
 
     Such a word maps each basis vector to a root of unity zeta_m^e times
-    another, with m = lcm(2, n) for n the lcm of the entry conductors.  The
-    result is (state, bits, m, n): row i of the product has its entry
+    another, with m = lcm(2, n) for n the lcm of the entry conductors of
+    all the words, so the words share one modulus.  The result is (states,
+    bits, m, n), one state per word: row i of its product has its entry
     zeta_m^e in column c for state[i] = c << bits | e, where e is the
     unreduced sum of the gates' exponents.  Each gate gathers runs of
-    packed entries and adds its rows' exponents (_gather_plan)."""
-    distinct = list({id(rows): rows for rows, _, _ in gates}.values())
+    packed entries and adds its rows' exponents (_gather_plan); each
+    distinct operator is put in monomial form once, and each distinct
+    (operator, slots) gate gets one plan, for all the words."""
+    distinct = list({id(rows): rows for word in words for rows, _, _ in word}.values())
     if not all(len(row) == 1 for rows in distinct for row in rows):
         return None
     n = lcm(1, *(v.n for rows in distinct for ((_, v),) in rows))
@@ -349,23 +361,26 @@ def _phase_permutation(dims: tuple[int, ...], gates) -> tuple[list[int], int, in
         if None in exps:
             return None
         forms[id(rows)] = ([c for ((c, _),) in rows], exps)
-    # exponents add up unreduced, to at most len(gates) * (m - 1), which
+    # exponents add up unreduced, to at most len(word) * (m - 1), which
     # fits in bits
-    bits = (len(gates) * (m - 1)).bit_length()
+    bits = (max(map(len, words), default=0) * (m - 1)).bit_length()
     total = prod(dims)
-    state = [i << bits for i in range(total)]
     plans: dict[tuple, list] = {}
-    for rows, start, stop in reversed(gates):
-        plan = plans.get((id(rows), start, stop))
-        if plan is None:
-            plan = plans[id(rows), start, stop] = _gather_plan(
-                *forms[id(rows)], prod(dims[:start]), prod(dims[stop:]))
-        out = [0] * total
-        for dst, src, e in plan:
-            run = state[src]
-            out[dst] = [x + e for x in run] if e else run
-        state = out
-    return state, bits, m, n
+    states = []
+    for word in words:
+        state = list(range(0, total << bits, 1 << bits))
+        for rows, start, stop in reversed(word):
+            plan = plans.get((id(rows), start, stop))
+            if plan is None:
+                plan = plans[id(rows), start, stop] = _gather_plan(
+                    *forms[id(rows)], prod(dims[:start]), prod(dims[stop:]))
+            out = [0] * total
+            for dst, src, e in plan:
+                run = state[src]
+                out[dst] = [x + e for x in run] if e else run
+            state = out
+        states.append(state)
+    return states, bits, m, n
 
 
 def _gather_plan(cols, exps, pre: int, post: int) -> list[tuple[slice, slice, int]]:

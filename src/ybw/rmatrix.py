@@ -13,9 +13,9 @@ prescribed Thoma parameters, the induced representations of finite
 permutations on V^(x n), and exact extraction of Thoma parameters from
 cycle traces.
 
-Cycle traces are powers of one d x d matrix: the trace of the staircase
-product R_1 R_2 ... R_(n-1) on V^(x n) is tr(T^(n-1)) for the partial
-trace T = Tr_2(R), because a certified R satisfies
+Cycle traces are powers of one sparse d x d matrix: the trace of the
+staircase product R_1 R_2 ... R_(n-1) on V^(x n) is tr(T^(n-1)) for the
+partial trace T = Tr_2(R), because a certified R satisfies
 R (1 (x) T) = (T (x) 1) R (see cycle_trace_sequence).  The cost is
 polynomial in dim V instead of exponential in n.  The full image of the
 cycle (yb_rep_perm) gives the same trace and is kept as the test oracle.
@@ -232,24 +232,29 @@ def cycle_trace_sequence(r: RMatrix, n_max: int) -> list[CycloScalar]:
     R (1 (x) T) = (T (x) 1) R, hence Tr_2(R (1 (x) T^k)) = T^(k+1), and
     tracing out the last factor of R_1 ... R_(n-1) T_n^k, which keeps the
     trace, leaves R_1 ... R_(n-2) T_(n-1)^(k+1).  Repeating down to one
-    factor gives tr(T^(n-1)), at a cost polynomial in d; T is read off
-    the nonzero entries of R.
+    factor gives tr(T^(n-1)), at a cost polynomial in d.  T is built as
+    sparse rows from the nonzero entries of R, and its powers are sparse
+    products T * T^k, so a diagonal T (every normal form) costs d scalar
+    products per power.
     """
     cached = r._cycle_traces
     if len(cached) >= n_max - 1:
         return cached[: n_max - 1]
     d = r.d
-    t = ExactMatrix.zeros(d, d)
+    entries: list[dict[int, CycloScalar]] = [{} for _ in range(d)]
     for a, row in enumerate(r.sparse.rows):
         i, x = divmod(a, d)
         for c, v in row:
             j, y = divmod(c, d)
             if y == x:
-                t.data[i][j] = t.data[i][j] + v
+                prev = entries[i].get(j)
+                entries[i][j] = v if prev is None else prev + v
+    t = SparseOperator(d, [sorted((j, v) for j, v in row.items() if not v.is_zero())
+                           for row in entries])
     power = t
     out = [t.trace()]
     for _ in range(3, n_max + 1):
-        power = power * t
+        power = t * power
         out.append(power.trace())
     r._cycle_traces = out
     return out[: n_max - 1]
@@ -298,8 +303,12 @@ def _solve_vandermonde(nodes: list[int], rhs: list[Fraction]) -> list[Fraction]:
     """The c with sum_k c_k * nodes[k]**j == rhs[j] for every j, exactly.
 
     With L_k the Lagrange polynomial of node k (1 there, 0 at the other
-    nodes), c_k = sum_j L_k[j] * rhs[j].  The nodes must be distinct.
+    nodes), c_k = sum_j L_k[j] * rhs[j].  The right-hand side is scaled
+    once to a common denominator, so the sums are of integers and each c_k
+    is one Fraction.  The nodes must be distinct.
     """
+    den = lcm(1, *(b.denominator for b in rhs))
+    scaled = [b.numerator * (den // b.denominator) for b in rhs]
     master = [1]  # prod (x - node), lowest degree first
     for a in nodes:
         master = [0] + master
@@ -312,8 +321,8 @@ def _solve_vandermonde(nodes: list[int], rhs: list[Fraction]) -> list[Fraction]:
         for j in range(len(nodes), 0, -1):
             acc = master[j] + a * acc
             quotient[j - 1] = acc
-        num = sum((q * b for q, b in zip(quotient, rhs)), Fraction(0))
-        out.append(num / prod(a - b for b in nodes if b != a))
+        num = sum(q * b for q, b in zip(quotient, scaled))
+        out.append(Fraction(num, den * prod(a - b for b in nodes if b != a)))
     return out
 
 

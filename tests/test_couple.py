@@ -569,3 +569,27 @@ def test_character_matches_the_literal_trace(differential_couples):
             assert character(c, g) == literal, (label, g)
             checked += 1
     assert checked >= 1000
+
+
+def test_character_and_literal_trace_print_alike_across_conductors():
+    # pi(t) = diag(zeta_3, zeta_3^2) with the i-twisted flip of signs
+    # (+1, -1): the engine's root sum keeps conductor 12, while the literal
+    # trace drops to conductor 3 when i cancels, so equal values reach the
+    # printer in different conductors
+    z3 = load_group("z3")
+    q = [[1, zeta(4)], [zeta(4, 3), -1]]
+    r = verify_rmatrix(ExactMatrix.from_entries(4, 4, {(j * 2 + i, i * 2 + j): q[i][j]
+                                                       for i in range(2) for j in range(2)}), 2)
+    couple = certify_couple(z3, r, [ExactMatrix.identity(2), ExactMatrix.diag([zeta(3), zeta(3, 2)]),
+                                    ExactMatrix.diag([zeta(3, 2), zeta(3)])], 1)
+    rng = Lcg64(97)
+    mixed = 0
+    for _ in range(300):
+        lo = 1 + rng.below(5)
+        g = rng.wreath_element(z3, lo, lo + rng.below(6 - lo))
+        n = max(g.max_support(), 1)
+        value = character(couple, g)
+        literal = rep_element(couple, g, n).trace() / (couple.w * couple.d ** n)
+        assert value == literal and str(value) == str(literal), g
+        mixed += value.n != literal.n
+    assert mixed > 0

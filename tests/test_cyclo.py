@@ -1,4 +1,7 @@
+import random
+import re
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,3 +203,59 @@ def test_serialization_forms():
     from ybw.io import scalar_from_json, scalar_to_json
     for value in (zeta(12) + 1, CycloScalar.from_rational(Fraction(-7, 3)), zeta(8, 5)):
         assert scalar_from_json(scalar_to_json(value), "t") == value
+
+
+def test_rational_sums_match_fraction_in_canonical_form():
+    # both operands rational: one gcd, the canonical form of _make
+    rng = random.Random(2410)
+    for _ in range(600):
+        a = Fraction(rng.randint(-60, 60), rng.randint(1, 40))
+        b = rng.choice([-a, Fraction(rng.randint(-60, 60), rng.randint(1, 40)), rng.randint(-5, 5)])
+        for got in (CycloScalar.from_rational(a) + CycloScalar.from_rational(b),
+                    CycloScalar.from_rational(a) + b, b + CycloScalar.from_rational(a)):
+            (num,) = got.nums
+            assert got.n == 1 and Fraction(num, got.den) == a + b, (a, b)
+            assert got.den > 0 and gcd(num, got.den) == 1, (a, b)
+            if a + b == 0:
+                assert (got.n, got.nums, got.den) == (1, (0,), 1)
+
+
+def galois_image(x, a):
+    """sigma_a(x) for sigma_a: zeta_N -> zeta_N^a, on the power-basis expansion."""
+    out = CycloScalar.from_rational(0)
+    for k, c in enumerate(x.nums):
+        out = out + Fraction(c, x.den) * zeta(x.n, a * k)
+    return out
+
+
+def least_conductor(x):
+    """The least M != 2 (mod 4) with x in Q(zeta_M): x is in Q(zeta_M)
+    exactly when every sigma_a with a = 1 (mod M) fixes it."""
+    return next(m for m in range(1, x.n + 1) if x.n % m == 0 and m % 4 != 2
+                and all(galois_image(x, a) == x for a in range(1, x.n)
+                        if gcd(a, x.n) == 1 and a % m == 1 % m))
+
+
+def test_values_print_in_their_least_conductor():
+    assert str(zeta(12, 2)) == str(zeta(6)) == str(1 + zeta(3)) == "1 + z3"
+    assert str(zeta(10)) == str(-zeta(5, 3)) and str(zeta(9, 3)) == str(zeta(3))
+    # a value drawn in conductor n, written in the power basis of
+    # lcm(n, k), prints as before, in its least conductor
+    rng = random.Random(2413)
+    moved = 0
+    for n in (3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 18, 20, 24):
+        for _ in range(8):
+            y = CycloScalar.from_coeffs(n, [
+                Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])) if rng.random() < 0.6 else 0
+                for _ in range(totient(n))])
+            if y.is_rational():
+                continue
+            least = least_conductor(y)
+            assert set(re.findall(r"z(\d+)", str(y))) == {str(least)}, (y.n, y.nums, str(y))
+            moved += least != y.n
+            for k in (2, 3, 4, 5, 7):
+                nums, den = y._lift(lcm(y.n, k))
+                x = CycloScalar.from_coeffs(lcm(y.n, k), [Fraction(c, den) for c in nums])
+                assert x == y and x.n == lcm(y.n, k)
+                assert str(x) == str(y), (y.n, y.nums, k)
+    assert moved > 10

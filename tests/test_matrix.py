@@ -1,9 +1,10 @@
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 
-from ybw.cyclo import CycloScalar, zeta
+from ybw import matrix
+from ybw.cyclo import ZERO, CycloScalar, zeta
 from ybw.errors import DimensionMismatchError
 from ybw.matrix import (
     ExactMatrix,
@@ -278,3 +279,56 @@ def test_amplify_dimension_check():
 def test_matmul_type_dispatch():
     with pytest.raises(TypeError):
         matmul(ExactMatrix.identity(2), SparseOperator.identity(2))
+
+
+def test_first_differing_row_keeps_words_over_different_conductors_on_the_engine(monkeypatch):
+    # monomial words whose entry conductors differ share one exponent
+    # modulus, so they never fall back to the products; the gate_product
+    # rows stay the oracle
+    rng = Lcg64(73)
+    pairs = ((1, 3), (3, 4), (4, 5), (2, 5), (12, 5), (3, 8))
+
+    def random_gate(dims, conductor):
+        start = rng.below(len(dims))
+        stop = start + 1 + rng.below(len(dims) - start)
+        return random_phase_permutation(rng, prod(dims[start:stop]), conductor), start, stop
+
+    def modulus(word):
+        return lcm(2, *(v.n for op, _, _ in word for row in op.data for v in row))
+
+    cases = []
+    for dims in ((2, 2, 2), (1, 2, 2, 2), (2, 3, 2)):
+        for _ in range(60):
+            cl, cr = pairs[rng.below(len(pairs))]
+            lhs = [random_gate(dims, cl) for _ in range(1 + rng.below(5))]
+            rhs = list(lhs)
+            kind = rng.below(3)
+            k = rng.below(len(rhs) + 1)
+            if kind == 0:
+                op, start, stop = random_gate(dims, cr)
+                rhs[k:k] = [(op, start, stop), (op.dagger(), start, stop)]
+            elif kind == 1:
+                rhs[k - 1] = random_gate(dims, cr)
+            else:
+                rhs = [random_gate(dims, cr) for _ in range(1 + rng.below(5))]
+            a, b = gate_product(dims, lhs).rows, gate_product(dims, rhs).rows
+            cases.append((dims, lhs, rhs, next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)))
+    products = []
+    product = matrix._product
+    monkeypatch.setattr(matrix, "_product", lambda dims, gates: products.append(1) or product(dims, gates))
+    for dims, lhs, rhs, expected in cases:
+        assert first_differing_row(dims, lhs, rhs) == expected, (dims, lhs, rhs)
+    assert not products
+    assert {expected is None for *_, expected in cases} == {True, False}
+    assert sum(modulus(lhs) != modulus(rhs) for _, lhs, rhs, _ in cases) > 60
+
+
+def test_from_dense_tells_unset_entries_by_identity():
+    # zeros() fills with the one shared ZERO; any other zero is still dropped
+    assert all(v is ZERO for row in ExactMatrix.zeros(3, 2).data for v in row)
+    x = zeta(5) + Fraction(1, 3)
+    zeros = [CycloScalar.from_rational(0), 1 + zeta(3) + zeta(3, 2), x - x]
+    assert all(z.is_zero() and z is not ZERO for z in zeros)
+    m = ExactMatrix.from_entries(3, 3, {(0, 0): 1, (0, 2): zeros[0], (1, 1): zeros[1],
+                                        (2, 0): x, (2, 1): zeros[2]})
+    assert SparseOperator.from_dense(m).rows == [[(0, CycloScalar.from_rational(1))], [], [(0, x)]]

@@ -1,11 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from ybw import matrix
-from ybw.cyclo import ONE, scalar, zeta
+from ybw.cyclo import ONE, ZERO, CycloScalar, scalar, zeta
 from ybw.errors import (
     DimensionMismatchError,
     NoMatchError,
@@ -19,6 +20,7 @@ from ybw.matrix import ExactMatrix, SparseOperator, amplify, flip_operator, kron
 from ybw.perms import FinitePermutation
 from ybw.rmatrix import (
     ThomaParams,
+    _solve_vandermonde,
     boxplus,
     char_cycle,
     cycle_trace,
@@ -587,3 +589,155 @@ def test_thoma_params_validation():
 def test_minimal_denominator():
     t = ThomaParams.make([Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 6)])
     assert t.minimal_denominator() == 6
+
+
+# -- the certify-and-extract path on R's nonzeros -------------------------
+
+
+def seeded_block_unitary(rng, d):
+    """A unitary on C^d over Q(zeta_12): 2x2 rotations from Pythagorean
+    triples with seeded phases on the index pairs (0, 1), (2, 3), ..., and
+    a seeded phase on an odd last index."""
+    u = ExactMatrix.zeros(d, d)
+    for i in range(0, d - 1, 2):
+        x, y, h = rng.choice([(3, 4, 5), (5, 12, 13), (8, 15, 17)])
+        p, q, s = (zeta(12, rng.randrange(12)) for _ in range(3))
+        a, b = p * Fraction(x, h), q * Fraction(y, h)
+        u.data[i][i], u.data[i][i + 1] = a, b
+        u.data[i + 1][i], u.data[i + 1][i + 1] = -(b.conj() * s), a.conj() * s
+    if d % 2:
+        u.data[d - 1][d - 1] = zeta(12, rng.randrange(12))
+    return u
+
+
+def seeded_params(rng, d):
+    k = rng.randint(0, d)
+    parts = []
+    for total in (k, d - k):
+        lam = []
+        while total:
+            lam.append(rng.randint(1, total))
+            total -= lam[-1]
+        parts.append(sorted(lam, reverse=True))
+    return ThomaParams.make([Fraction(x, d) for x in parts[0]], [Fraction(x, d) for x in parts[1]])
+
+
+def test_sparse_cycle_traces_match_dense_partial_trace_powers():
+    # normal forms (T diagonal) for d <= 12, and normal forms conjugated by
+    # U (x) U for a block unitary U (T full of entries), against powers of
+    # the dense partial trace
+    rng = random.Random(2414)
+    cases = []
+    for d in range(1, 13):
+        for _ in range(2):
+            params = seeded_params(rng, d)
+            cases.append((params, normal_form_from_thoma(params, d)))
+    for d in (2, 3, 4, 5):
+        for _ in range(2):
+            params = seeded_params(rng, d)
+            u = seeded_block_unitary(rng, d)
+            uu = u.kron(u)
+            cases.append((params, verify_rmatrix(uu * normal_form_from_thoma(params, d).m * uu.dagger(), d)))
+    full = 0
+    for params, r in cases:
+        t = partial_trace(r)
+        full += any(not t.data[i][j].is_zero() for i in range(r.d) for j in range(r.d) if i != j)
+        power, expected = t, []
+        for _ in range(2, 2 * r.d + 2):
+            expected.append(power.trace())
+            power = power * t
+        assert cycle_trace_sequence(r, 2 * r.d + 1) == expected, params
+        assert extract_thoma(r) == params
+    assert full >= 4
+
+
+def fraction_vandermonde(nodes, rhs):
+    """The Vandermonde solve on Fractions throughout: the oracle of
+    rmatrix._solve_vandermonde."""
+    master = [1]
+    for a in nodes:
+        master = [0] + master
+        for j in range(len(master) - 1):
+            master[j] -= a * master[j + 1]
+    out = []
+    for a in nodes:
+        quotient = [0] * len(nodes)
+        acc = 0
+        for j in range(len(nodes), 0, -1):
+            acc = master[j] + a * acc
+            quotient[j - 1] = acc
+        num = sum((q * b for q, b in zip(quotient, rhs)), Fraction(0))
+        out.append(num / prod(a - b for b in nodes if b != a))
+    return out
+
+
+def test_integer_vandermonde_matches_the_fraction_solver():
+    rng = random.Random(2415)
+    for _ in range(300):
+        size = rng.randint(1, 9)
+        nodes = (rng.sample(range(-30, 31), size) if rng.random() < 0.5
+                 else [k * k for k in range(1, size + 1)])
+        rhs = [Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.choice([1, 1, 2, 3, 12, 10 ** 7 + 19]))
+               for _ in range(size)]
+        got = _solve_vandermonde(nodes, rhs)
+        assert got == fraction_vandermonde(nodes, rhs), (nodes, rhs)
+        assert all(type(c) is Fraction for c in got)
+    for params, r in normal_forms_of_dim(5):
+        traces = [t.as_rational() for t in cycle_trace_sequence(r, 11)]
+        nodes = [k * k for k in range(1, 6)]
+        for rhs in (traces[1::2], traces[0::2]):
+            assert _solve_vandermonde(nodes, rhs) == fraction_vandermonde(nodes, rhs), params
+
+
+def test_verify_rmatrix_drops_zeros_that_are_not_the_shared_object():
+    # a dense R whose zero entries are zeros of other origins gets the
+    # same rows and the same verdict
+    x = zeta(5) + Fraction(1, 3)
+    zeros = [scalar(0), 1 + zeta(3) + zeta(3, 2), x - x]
+    assert all(z.is_zero() and z is not ZERO for z in zeros)
+    rng = random.Random(2416)
+    cases = [(hadamard_conjugated_flip().m, 2), (lyubashenko([1, 2, 0]).m, 3),
+             (q_twisted_flip([[1, zeta(3)], [zeta(3, 2), -1]]).m, 2)]
+    for d in (1, 2, 3):
+        for _ in range(10):
+            cases += [(m, d) for m in seeded_candidates(rng, d)]
+    seen = set()
+    for m, d in cases:
+        other = ExactMatrix(m.rows, m.cols, [[rng.choice(zeros) if v.is_zero() else v for v in row]
+                                             for row in m.data])
+        assert SparseOperator.from_dense(other) == SparseOperator.from_dense(m)
+        outcome = verify_outcome(m, d)
+        assert verify_outcome(other, d) == outcome, (m.data, d)
+        if outcome[0] is None:
+            assert verify_rmatrix(other, d).sparse == verify_rmatrix(m, d).sparse
+        seen.add(outcome[0])
+    assert seen == {None, NotInvolutiveError, NotUnitaryError, YBEFailsError}
+
+
+def counted(monkeypatch, name):
+    """A list that grows by one on each call of the CycloScalar method."""
+    calls = []
+    method = getattr(CycloScalar, name)
+
+    def wrapper(self, *args):
+        calls.append(1)
+        return method(self, *args)
+
+    monkeypatch.setattr(CycloScalar, name, wrapper)
+    return calls
+
+
+def test_certify_and_extract_cost_about_the_nonzeros_of_r(monkeypatch):
+    # d = 24: the dense R has d^4 = 331,776 entries and d^2 = 576 nonzeros
+    d = 24
+    params = ThomaParams.make([Fraction(12, 24), Fraction(8, 24)], [Fraction(4, 24)])
+    dense = normal_form_from_thoma(params, d).m
+    is_zero = counted(monkeypatch, "is_zero")
+    root_exponent = counted(monkeypatch, "root_exponent")
+    r = verify_rmatrix(dense, d)
+    assert len(is_zero) <= 4 * d * d
+    # one monomial form of R serves both braid words
+    assert len(root_exponent) == d * d
+    del is_zero[:]
+    assert extract_thoma(r) == params
+    assert len(is_zero) <= d * d
