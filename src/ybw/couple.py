@@ -10,9 +10,8 @@ truncated spaces W (x) V^(x n) and, through the normalized trace, an
 extremal character evaluated here exactly.
 
 The image of a wreath element is one word of local gates, pi(t) on
-W (x) V_1 and R (as its certified sparse rows) on adjacent V-slots,
-evaluated by matrix.gate_product;
-no operator is kept between calls.  Certification checks the equation
+W (x) V_1 and R (as its certified sparse rows) on adjacent V-slots; no
+operator is kept between calls.  Certification checks the equation
 above as X_t pi(t') = pi(t') X_t, where X_t = R1 pi(t) R1 is a gate word,
 for t and t' in the generating set FiniteGroup.generators only: R1^2 = 1
 makes t -> X_t a homomorphism like pi, so when X_a commutes with pi(b)
@@ -21,8 +20,13 @@ Character values do not depend on the truncation level, because the
 operators act as the identity on appended factors, nor on the element
 within its conjugacy class.  So a character is evaluated at the compact
 conjugate of the element (wreath.compact_conjugator), at level
-n = max(|support|, 1), by matrix.gate_trace; rep_element stays the
-literal image at any level n >= max(support).
+n = max(|support|, 1), by matrix.gate_trace.  That runs on the
+phase-permutation engine when every gate has one root-of-unity entry per
+row, as on the builder's couples, and on packed integers of the group
+ring Z[C_m] otherwise, as on conjugated couples.  rep_element and
+certification multiply words out on CycloScalar rows with
+matrix.gate_product, and rep_element stays the literal image at any level
+n >= max(support), the oracle of character.
 """
 
 from __future__ import annotations
@@ -51,8 +55,11 @@ from .wreath import WreathElement, compact_conjugator
 # vector, and every gate of the word passes over all of them: at the limit
 # (d = 4, level 8) an element colored at every position takes about 14 s
 # and 49 MB in rep_element, and 0.1 s and 5 MB in character on a monomial
-# couple.  Tier-1, the scripts and the benchmark workloads stay at or below
-# 4096 (d = 4 at level 6).
+# couple.  On the s3 d = 4 couple conjugated by the benchmark's block
+# unitary, where every pi gate of that word fills its rows, character takes
+# about 7 s and 440 MB on the packed group ring (39 s and 660 MB on
+# CycloScalar rows).  Tier-1, the scripts and the benchmark workloads stay
+# at or below 4096 (d = 4 at level 6).
 MAX_OPERATOR_DIM = 1 << 16
 
 

@@ -188,17 +188,13 @@ class CycloScalar:
         if den < 0:
             den = -den
             nums = [-c for c in nums]
-        g = den
-        for c in nums:
-            g = gcd(g, c)
-            if g == 1:
-                break
+        g = gcd(den, *nums)
         if g > 1:
             den //= g
             nums = [c // g for c in nums]
-        if all(c == 0 for c in nums):
+        if not any(nums):
             return CycloScalar(1, (0,), 1)
-        if n > 1 and all(c == 0 for c in nums[1:]):
+        if n > 1 and not any(nums[1:]):
             return CycloScalar(1, (nums[0],), den)
         return CycloScalar(n, tuple(nums), den)
 
@@ -337,6 +333,12 @@ class CycloScalar:
                     return other
                 if c == -1:
                     return -other
+            if other.n == 1:
+                # two rationals: the same canonical form with one gcd
+                num = c * other.nums[0]
+                den = self.den * other.den
+                g = gcd(num, den)
+                return CycloScalar(1, (num // g,), den // g)
             if c == 0:
                 return CycloScalar(1, (0,), 1)
             return self._make(other.n, [c * x for x in other.nums], self.den * other.den)
@@ -538,9 +540,10 @@ def zeta(n: int, k: int = 1) -> CycloScalar:
     return CycloScalar.zeta(n, k)
 
 
-def root_sum(counts, n: int) -> CycloScalar:
-    """sum_e counts[e] * zeta_m^e, m = len(counts) = lcm(2, n), expressed in
-    the conductor-n power basis (zeta_2n = -zeta_n^((n+1)/2) for odd n)."""
+def root_sum(counts, n: int, den: int = 1) -> CycloScalar:
+    """sum_e counts[e] * zeta_m^e / den, m = len(counts) = lcm(2, n),
+    expressed in the conductor-n power basis (zeta_2n = -zeta_n^((n+1)/2)
+    for odd n)."""
     m = len(counts)
     if m != lcm(2, n):
         raise ValueError(f"{m} exponent counts for conductor {n}, expected {lcm(2, n)}")
@@ -557,7 +560,7 @@ def root_sum(counts, n: int) -> CycloScalar:
         for j, c in enumerate(row):
             if c:
                 nums[j] += count * c
-    return CycloScalar._make(n, nums, 1)
+    return CycloScalar._make(n, nums, den)
 
 
 def scalar(value) -> CycloScalar:

@@ -8,18 +8,24 @@ all follow it.
 SparseOperator is the working representation for operators on spaces of
 three or more factors; the images of group elements are signed
 block-permutation-like, so rows stay short.  Such an image is a word of
-local gates, each an operator on a few contiguous factors, and
-gate_product evaluates the word by applying the gates in place, without
-materializing any amplified gate and without caching operators between
-calls.  The SparseOperator product is one such gate step (_apply_gate).
+local gates, each an operator on a few contiguous factors.  Three
+evaluators multiply such words out, none materializing an amplified gate
+or keeping an operator between calls:
 
-When every gate of a word has one root-of-unity entry per row, the word
-is a permutation of the basis with phases, and _phase_permutation
-evaluates it on plain int lists instead.  gate_trace takes the trace of a
-word there, and first_differing_row evaluates two words in one engine
-pass with one exponent modulus and compares them; both fall back to
-gate_product on any other word.  R-matrix and couple certification,
-characters and R-matrix images all run on these functions.
+- the phase-permutation engine (_phase_permutation), when every gate has
+  one root-of-unity entry per row: the word is a permutation of the basis
+  with phases zeta_m^e, evaluated on plain int lists;
+- packed integers of the group ring Z[C_m] (_group_ring), for any other
+  word: each gate is scaled to integer coefficients, each entry becomes an
+  element of N[C_m] packed into one int, so a scalar product is one int
+  product and a sum one int sum; the ring map Z[C_m] -> Z[zeta_m], g ->
+  zeta_m, gives the field values at the end;
+- gate_product, which applies the gates in place on CycloScalar rows
+  (_apply_gate; the SparseOperator product is one such step).
+
+gate_trace and first_differing_row take the first two: the engine when
+the gates allow it, the group ring otherwise.  gate_product is the literal
+image, for rep_element, certification and the test oracles.
 
 ExactMatrix.zeros fills with the one immutable cyclo.ZERO, so reading a
 dense matrix into rows (SparseOperator.from_dense) tells its unset
@@ -290,19 +296,40 @@ def gate_product(dims, word) -> SparseOperator:
     ever materialized.
     """
     dims = tuple(dims)
-    return _product(dims, _sparse_gates(dims, word))
+    total = prod(dims)
+    rows = SparseOperator.identity(total).rows
+    for op_rows, start, stop in reversed(_sparse_gates(dims, word)):
+        rows = _apply_gate(op_rows, rows, prod(dims[stop:]))
+    return SparseOperator(total, rows)
 
 
 def gate_trace(dims, word) -> CycloScalar:
-    """The trace of gate_product(dims, word), on the phase-permutation
-    engine (_phase_permutation) when every gate has one root-of-unity entry
-    per row: the count of each exponent on the fixed points of the basis
-    permutation.  Any other word is evaluated by gate_product."""
+    """The trace of gate_product(dims, word).
+
+    A word whose gates all have one root-of-unity entry per row runs on
+    the phase-permutation engine (_phase_permutation), which counts each
+    exponent on the fixed points of the basis permutation.  Any other word
+    runs on packed integers of the group ring Z[C_m] (_group_ring).  Since
+    tr(G_1 ... G_k) = tr(G_2 ... G_k G_1), the word is first rotated to
+    start at a gate with a row of several entries; the rest of the word is
+    multiplied out, and G_1 gives only the diagonal of the product
+    (_diagonal_sum).  Every coefficient stays non-negative, and the slots
+    are wide enough for prod(dims) times the product of the gates' largest
+    row coefficient sums, which bounds each slot of that diagonal sum, so
+    no slot carries.  Its m slot counts c_e are read once, and g -> zeta_m
+    being a ring map, the trace is sum_e c_e zeta_m^e over the product of
+    the gates' denominators."""
     dims = tuple(dims)
     gates = _sparse_gates(dims, word)
     engine = _phase_permutation(dims, [gates])
     if engine is None:
-        return _product(dims, gates).trace()
+        k = next((k for k, (rows, _, _) in enumerate(gates) if any(len(row) > 1 for row in rows)), 0)
+        (rotated,), (scale,), bits, m, n = _group_ring(dims, [gates[k:] + gates[:k]])
+        (first, _, stop), *rest = rotated
+        width = m * bits
+        diagonal = _diagonal_sum(first, prod(dims[stop:]), _ring_product(dims, rest, width))
+        diagonal = (diagonal & ((1 << width) - 1)) + (diagonal >> width)
+        return root_sum(_slot_counts(diagonal, bits, m), n, scale)
     (state,), bits, m, n = engine
     counts = [0] * m
     mask = (1 << bits) - 1
@@ -318,21 +345,33 @@ def first_differing_row(dims, lhs, rhs) -> int | None:
 
     Two words on the phase-permutation engine are evaluated there in one
     pass, with one exponent modulus m for both, and compared as (column,
-    exponent mod m) per row; any other pair is compared on the rows of the
-    two products."""
+    exponent mod m) per row.  Any other pair is multiplied out on packed
+    integers of Z[C_m] (_group_ring), with one m and one slot width for
+    both.  Rows with the same packed entries over the same denominator
+    are equal; any other pair of rows is compared as field values, since
+    the map Z[C_m] -> Z[zeta_m] has a kernel (1 + g^(m/2) maps to 0), so
+    different packed rows may be the same row of the operator."""
     dims = tuple(dims)
     lhs, rhs = list(lhs), list(rhs)
     gates = _sparse_gates(dims, lhs + rhs)
     words = [gates[:len(lhs)], gates[len(lhs):]]
     engine = _phase_permutation(dims, words)
     if engine is None:
-        a, b = (_product(dims, g).rows for g in words)
-    else:
-        states, bits, m, _ = engine
-        if states[0] == states[1]:
-            return None  # equal packed states are equal operators
-        mask = (1 << bits) - 1
-        a, b = ([(x >> bits) * m + (x & mask) % m for x in state] for state in states)
+        words, (sa, sb), bits, m, n = _group_ring(dims, words)
+        a, b = (_ring_product(dims, word, m * bits) for word in words)
+
+        def values(row, scale):
+            out = ((j, root_sum(_slot_counts(x, bits, m), n, scale)) for j, x in row)
+            return {j: v for j, v in out if not v.is_zero()}
+
+        return next((i for i, (x, y) in enumerate(zip(a, b))
+                     if not (sa == sb and sorted(x) == sorted(y)) and values(x, sa) != values(y, sb)),
+                    None)
+    states, bits, m, _ = engine
+    if states[0] == states[1]:
+        return None  # equal packed states are equal operators
+    mask = (1 << bits) - 1
+    a, b = ([(x >> bits) * m + (x & mask) % m for x in state] for state in states)
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
 
 
@@ -417,14 +456,6 @@ def _sparse_gates(dims: tuple[int, ...], word) -> list[tuple[list, int, int]]:
     return gates
 
 
-def _product(dims: tuple[int, ...], gates) -> SparseOperator:
-    total = prod(dims)
-    rows = SparseOperator.identity(total).rows
-    for op_rows, start, stop in reversed(gates):
-        rows = _apply_gate(op_rows, rows, prod(dims[stop:]))
-    return SparseOperator(total, rows)
-
-
 def _apply_gate(op_rows, rows, post: int) -> list[list[tuple[int, CycloScalar]]]:
     """The rows of (1 (x) op (x) 1_post) T from the rows of T and of op.
 
@@ -450,4 +481,117 @@ def _apply_gate(op_rows, rows, post: int) -> list[list[tuple[int, CycloScalar]]]
                         prev = acc.get(j)
                         acc[j] = v * b if prev is None else prev + v * b
                 out.append(sorted((j, x) for j, x in acc.items() if not x.is_zero()))
+    return out
+
+
+def _group_ring(dims: tuple[int, ...], words) -> tuple[list, list[int], int, int, int]:
+    """Several words of sparse gates as gates on packed integers of the
+    group ring Z[C_m], C_m = <g> cyclic of order m = lcm(2, n) for n the
+    lcm of the entry conductors of all the words.
+
+    g -> zeta_m extends to a ring map Z[C_m] -> Z[zeta_m].  Each distinct
+    gate is scaled by the lcm D_g of its entry denominators, and each
+    power-basis term c z_k^j of an entry becomes |c| g^(j m/k), times
+    g^(m/2) when c < 0, so every entry lies in N[C_m].  An element
+    sum_e a_e g^e is packed as sum_e a_e << (e * bits) (Kronecker
+    substitution): a product is one int product folded by g^m = 1
+    (_ring_product), and a sum is one int sum.
+
+    No coefficient is ever negative, and an entry of a product of gates
+    has a coefficient sum of at most the product of the gates' largest
+    row coefficient sums.  bits holds prod(dims) times that product, for
+    the word where it is largest, plus one bit, so no slot carries into
+    the next, not even in a sum over the diagonal.
+
+    The result is (words, scales, bits, m, n): each word with its gates as
+    rows of (column, packed int), and one scale prod D_g per word; a
+    word's product is its packed product mapped to Z[zeta_m], over the
+    scale."""
+    distinct = list({id(rows): rows for word in words for rows, _, _ in word}.values())
+    n = lcm(1, *(v.n for rows in distinct for row in rows for _, v in row))
+    m = lcm(2, n)
+    scales, sums = {}, {}
+    for rows in distinct:
+        scale = scales[id(rows)] = lcm(1, *(v.den for row in rows for _, v in row))
+        sums[id(rows)] = max((sum(sum(map(abs, v.nums)) * (scale // v.den) for _, v in row)
+                              for row in rows), default=0)
+    bits = max(prod(dims) * prod(sums[id(rows)] for rows, _, _ in word) for word in words).bit_length() + 1
+    packed = {id(rows): [[(c, _pack(v, scales[id(rows)], m, bits)) for c, v in row] for row in rows]
+              for rows in distinct}
+    return ([[(packed[id(rows)], start, stop) for rows, start, stop in word] for word in words],
+            [prod(scales[id(rows)] for rows, _, _ in word) for word in words], bits, m, n)
+
+
+def _pack(v: CycloScalar, scale: int, m: int, bits: int) -> int:
+    """scale * v as a packed element of N[C_m] (see _group_ring)."""
+    step, f = m // v.n, scale // v.den
+    out = 0
+    for j, c in enumerate(v.nums):
+        if c:
+            e = j * step if c > 0 else (j * step + m // 2) % m
+            out += abs(c) * f << (e * bits)
+    return out
+
+
+def _slot_counts(x: int, bits: int, m: int) -> list[int]:
+    """The m coefficients of a packed element of N[C_m]."""
+    mask = (1 << bits) - 1
+    return [x >> (e * bits) & mask for e in range(m)]
+
+
+def _ring_product(dims: tuple[int, ...], word, width: int) -> list[list[tuple[int, int]]]:
+    """The rows of the product of a word of packed gates, in no particular
+    column order; width = m * bits."""
+    mask = (1 << width) - 1
+    rows = [[(i, 1)] for i in range(prod(dims))]
+    for op_rows, start, stop in reversed(word):
+        rows = _apply_packed(op_rows, rows, prod(dims[stop:]), mask, width)
+    return rows
+
+
+def _apply_packed(op_rows, rows, post: int, mask: int, width: int) -> list[list[tuple[int, int]]]:
+    """_apply_gate on packed elements of N[C_m].  A product p of two
+    packed elements folds by g^m = 1 as (p & mask) + (p >> width), once
+    per summed entry, and a row of op with one unit entry shares a run of
+    rows.  No entry is dropped: nonzero elements of N[C_m] have nonzero
+    products, and a packed int that maps to 0 in the field is kept."""
+    mid = len(op_rows)
+    out: list[list[tuple[int, int]]] = []
+    for base in range(0, len(rows) // post, mid):
+        for entries in op_rows:
+            if not entries:
+                out += [[] for _ in range(post)]
+                continue
+            (c, v), *rest = entries
+            lo = (base + c) * post
+            run = rows[lo:lo + post]
+            if not rest:
+                out += run if v == 1 else [[(j, (p & mask) + (p >> width)) for j, x in row for p in (v * x,)]
+                                           for row in run]
+                continue
+            accs = [{j: v * x for j, x in row} for row in run]
+            for c, v in rest:
+                lo = (base + c) * post
+                for acc, row in zip(accs, rows[lo:lo + post]):
+                    for j, x in row:
+                        if j in acc:
+                            acc[j] += v * x
+                        else:
+                            acc[j] = v * x
+            out += [[(j, (p & mask) + (p >> width)) for j, p in acc.items()] for acc in accs]
+    return out
+
+
+def _diagonal_sum(op_rows, post: int, rows) -> int:
+    """sum_i (G T)[i][i] for G = 1 (x) op (x) 1_post on packed rows of T,
+    unfolded: each product adds up to 2m - 1 slots."""
+    out = 0
+    for base in range(0, len(rows) // post, len(op_rows)):
+        for r, entries in enumerate(op_rows, base):
+            for c, v in entries:
+                lo = (base + c) * post
+                for i, row in enumerate(rows[lo:lo + post], r * post):
+                    for j, x in row:
+                        if j == i:
+                            out += v * x
     return out

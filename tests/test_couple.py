@@ -537,10 +537,11 @@ def top_level(c, dim):
 
 
 def test_gate_trace_matches_gate_product_on_couple_words(differential_couples, monkeypatch):
-    # seeded words of R and pi gates; monomial words never build the product
+    # seeded words of R and pi gates; monomial words never reach the packed
+    # group-ring evaluator, and the other words do
     built = []
-    product = matrix._product
-    monkeypatch.setattr(matrix, "_product", lambda dims, gates: built.append(1) or product(dims, gates))
+    group_ring = matrix._group_ring
+    monkeypatch.setattr(matrix, "_group_ring", lambda dims, words: built.append(1) or group_ring(dims, words))
     rng = Lcg64(83)
     for label, (c, monomial, dim) in differential_couples.items():
         n = top_level(c, dim)
@@ -551,7 +552,7 @@ def test_gate_trace_matches_gate_product_on_couple_words(differential_couples, m
             del built[:]
             assert gate_trace(c.layout(n), word) == gate_product(c.layout(n), word).trace(), \
                 (label, word)
-            fallbacks += len(built) - 1  # one product is gate_product's own
+            fallbacks += len(built)
         assert (fallbacks == 0) if monomial else (fallbacks > 0), label
 
 

@@ -220,6 +220,32 @@ def test_rational_sums_match_fraction_in_canonical_form():
                 assert (got.n, got.nums, got.den) == (1, (0,), 1)
 
 
+
+def test_rational_products_match_fraction_in_canonical_form():
+    # both operands rational: one product and one gcd, the canonical form of _make
+    rng = random.Random(2411)
+    for _ in range(600):
+        a = Fraction(rng.randint(-60, 60), rng.randint(1, 40))
+        b = rng.choice([Fraction(0), 1 / a if a else Fraction(-1), rng.randint(-5, 5),
+                        Fraction(rng.randint(-60, 60), rng.randint(1, 40))])
+        for got in (CycloScalar.from_rational(a) * CycloScalar.from_rational(b),
+                    CycloScalar.from_rational(a) * b, b * CycloScalar.from_rational(a)):
+            (num,) = got.nums
+            assert got.n == 1 and Fraction(num, got.den) == a * b, (a, b)
+            assert got.den > 0 and gcd(num, got.den) == 1, (a, b)
+            if a * b == 0:
+                assert (got.n, got.nums, got.den) == (1, (0,), 1)
+    # operands left unreduced by the trusted constructor still give the canonical product
+    got = CycloScalar(1, (6,), 4) * CycloScalar(1, (-10,), 6)
+    assert (got.n, got.nums, got.den) == (1, (-5,), 2)
+    got = CycloScalar(1, (0,), 7) * CycloScalar(1, (-3,), 9)
+    assert (got.n, got.nums, got.den) == (1, (0,), 1)
+    # _make: one gcd over the denominator and every coordinate, and the drop to conductor 1
+    assert CycloScalar.from_coeffs(3, [Fraction(2, 4), Fraction(-6, 4)]).nums == (1, -3)
+    assert CycloScalar.from_coeffs(3, [Fraction(2, 4), Fraction(-6, 4)]).den == 2
+    x = CycloScalar.from_coeffs(5, [Fraction(-4, 6), 0, 0, 0])
+    assert (x.n, x.nums, x.den) == (1, (-2,), 3)
+
 def galois_image(x, a):
     """sigma_a(x) for sigma_a: zeta_N -> zeta_N^a, on the power-basis expansion."""
     out = CycloScalar.from_rational(0)

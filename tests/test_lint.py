@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import ybw
@@ -29,3 +31,27 @@ def test_every_error_class_is_raised_or_subclassed():
                 used.update(getattr(base, "id", None) for base in node.bases)
     unused = [name for name in defined if name not in used]
     assert not unused, f"error classes never raised or subclassed in src/ybw: {', '.join(unused)}"
+
+
+def test_every_name_the_benchmark_tracer_patches_exists():
+    # bench/tracer.py rebinds these names by string; a rename in src/ybw
+    # would otherwise surface only when a traced benchmark run starts
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for name, module_name, attr in tracer.SPAN_TARGETS:
+        owner = importlib.import_module(module_name)
+        *classes, leaf = attr.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls, None)
+        # methods are read from the class body, as the tracer reads them
+        if owner is None or leaf not in (vars(owner) if classes else dir(owner)):
+            missing.append(f"{name}: {module_name}.{attr}")
+    scalar = importlib.import_module("ybw.cyclo").CycloScalar
+    missing += [f"ybw.cyclo.CycloScalar.{attr}" for _, attrs in tracer.COUNTED_TARGETS
+                for attr in attrs if attr not in vars(scalar)]
+    if not hasattr(importlib.import_module("ybw.rmatrix"), "partition_pairs"):
+        missing.append("ybw.rmatrix.partition_pairs")
+    assert tracer.SPAN_TARGETS and not missing, f"names bench/tracer.py patches are gone: {missing}"

@@ -4,7 +4,7 @@ from math import lcm, prod
 import pytest
 
 from ybw import matrix
-from ybw.cyclo import ZERO, CycloScalar, zeta
+from ybw.cyclo import ZERO, CycloScalar, scalar, zeta
 from ybw.errors import DimensionMismatchError
 from ybw.matrix import (
     ExactMatrix,
@@ -211,7 +211,8 @@ def random_phase_permutation(rng, n, conductor):
 
 def test_gate_trace_matches_gate_product():
     # roots of unity of several conductors mix in one word on the engine;
-    # words with a non-monomial gate or a non-unit entry fall back
+    # words with a non-monomial gate or a non-unit entry run on the packed
+    # group ring
     inv_sqrt2 = (zeta(8) + zeta(8, 7)) / 2
     h = ExactMatrix.from_entries(2, 2, {(0, 0): inv_sqrt2, (0, 1): inv_sqrt2,
                                         (1, 0): inv_sqrt2, (1, 1): -inv_sqrt2})
@@ -238,7 +239,7 @@ def test_first_differing_row_matches_gate_product():
     # a word against itself, with a gate and its inverse inserted (over a
     # conductor the word may lack, so the engines' exponent moduli differ),
     # or with one gate replaced; a non-monomial gate sends a pair to the
-    # products
+    # packed group ring
     inv_sqrt2 = (zeta(8) + zeta(8, 7)) / 2
     h = ExactMatrix.from_entries(2, 2, {(0, 0): inv_sqrt2, (0, 1): inv_sqrt2,
                                         (1, 0): inv_sqrt2, (1, 1): -inv_sqrt2})
@@ -283,8 +284,8 @@ def test_matmul_type_dispatch():
 
 def test_first_differing_row_keeps_words_over_different_conductors_on_the_engine(monkeypatch):
     # monomial words whose entry conductors differ share one exponent
-    # modulus, so they never fall back to the products; the gate_product
-    # rows stay the oracle
+    # modulus, so they never leave the engine for the packed group ring;
+    # the gate_product rows stay the oracle
     rng = Lcg64(73)
     pairs = ((1, 3), (3, 4), (4, 5), (2, 5), (12, 5), (3, 8))
 
@@ -314,8 +315,8 @@ def test_first_differing_row_keeps_words_over_different_conductors_on_the_engine
             a, b = gate_product(dims, lhs).rows, gate_product(dims, rhs).rows
             cases.append((dims, lhs, rhs, next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)))
     products = []
-    product = matrix._product
-    monkeypatch.setattr(matrix, "_product", lambda dims, gates: products.append(1) or product(dims, gates))
+    group_ring = matrix._group_ring
+    monkeypatch.setattr(matrix, "_group_ring", lambda dims, words: products.append(1) or group_ring(dims, words))
     for dims, lhs, rhs, expected in cases:
         assert first_differing_row(dims, lhs, rhs) == expected, (dims, lhs, rhs)
     assert not products
@@ -332,3 +333,98 @@ def test_from_dense_tells_unset_entries_by_identity():
     m = ExactMatrix.from_entries(3, 3, {(0, 0): 1, (0, 2): zeros[0], (1, 1): zeros[1],
                                         (2, 0): x, (2, 1): zeros[2]})
     assert SparseOperator.from_dense(m).rows == [[(0, CycloScalar.from_rational(1))], [], [(0, x)]]
+
+
+def phased_rotation(x, y, h, p, q, r):
+    """The unitary [[a, b], [-conj(b) r, conj(a) r]], a = p x/h and b = q y/h,
+    for a Pythagorean triple (x, y, h) and roots of unity p, q, r."""
+    a, b = scalar(p) * Fraction(x, h), scalar(q) * Fraction(y, h)
+    return ExactMatrix.from_entries(2, 2, {(0, 0): a, (0, 1): b, (1, 0): -(b.conj() * r),
+                                           (1, 1): a.conj() * r})
+
+
+def group_ring_cases():
+    """(label, dims, gates): non-monomial gates, each with its adjoint, to draw words from."""
+    rot5 = phased_rotation(3, 4, 5, zeta(5), zeta(5, 2), zeta(5, 4))
+    rot12 = phased_rotation(5, 12, 13, zeta(12), zeta(12, 7), zeta(12, 3))
+    rot3 = phased_rotation(3, 4, 5, zeta(3), zeta(3, 2), zeta(3))
+    rot17 = phased_rotation(8, 15, 17, zeta(4), 1, zeta(4, 3))
+    rot17b = phased_rotation(8, 15, 17, 1, zeta(4), -1)
+    square = rot17 * rot17b  # entries over 289, with negative coefficients
+    a = Fraction(3, 5) + Fraction(4, 5) * zeta(4)
+    phase = ExactMatrix.from_entries(2, 2, {(0, 1): a, (1, 0): a.conj()})
+    flip = flip_operator(2, 2)
+    projector = ExactMatrix.diag([1, 0])  # a row with no entry
+    cases = [
+        ("conductors 5 and 12", (2, 2, 2), [(rot5, 0, 1), (rot12, 1, 2), (kron(rot5, rot12), 1, 3),
+                                            (flip, 0, 2)]),
+        ("conductor 3", (2, 3, 2), [(rot3, 0, 1), (rot3, 2, 3), (kron(rot3, ExactMatrix.identity(3)), 0, 2)]),
+        ("denominator 289", (2, 2, 2), [(square, 0, 1), (kron(square, rot17), 1, 3), (rot17, 2, 3)]),
+        ("rational phase", (1, 2, 2), [(phase, 0, 2), (flip, 1, 3)]),
+        ("singular", (2, 2), [(projector, 0, 1), (rot12, 1, 2)]),
+    ]
+    return [(label, dims, gates + [(op.dagger(), start, stop) for op, start, stop in gates])
+            for label, dims, gates in cases]
+
+
+def test_group_ring_matches_gate_product(monkeypatch):
+    # seeded words of non-monomial gates: traces against gate_product(...).trace(),
+    # and first differing rows against the gate_product rows, on a word against
+    # itself with a gate and its adjoint inserted, or with one gate replaced
+    calls = []
+    group_ring = matrix._group_ring
+    monkeypatch.setattr(matrix, "_group_ring", lambda dims, words: calls.append(1) or group_ring(dims, words))
+    rng = Lcg64(101)
+    assert any(v.den == 289 and min(v.nums) < 0 for op, _, _ in group_ring_cases()[2][2]
+               for row in op.data for v in row)
+    for label, dims, gates in group_ring_cases():
+        outcomes = set()
+        for _ in range(40):
+            word = [gates[rng.below(len(gates))] for _ in range(1 + rng.below(7))]
+            del calls[:]
+            assert gate_trace(dims, word) == gate_product(dims, word).trace(), (label, word)
+            on_engine = matrix._phase_permutation(dims, [matrix._sparse_gates(dims, word)]) is not None
+            assert len(calls) == (not on_engine), (label, word)
+            other = list(word)
+            k = rng.below(len(other) + 1)
+            if rng.below(2):
+                op, start, stop = gates[rng.below(len(gates))]
+                other[k:k] = [(op, start, stop), (op.dagger(), start, stop)]
+            elif other:
+                other[k - 1] = gates[rng.below(len(gates))]
+            a, b = gate_product(dims, word).rows, gate_product(dims, other).rows
+            expected = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
+            assert first_differing_row(dims, word, other) == expected, (label, word, other)
+            outcomes.add(expected is None)
+        assert outcomes == {True, False} or label == "singular", label
+
+
+def test_group_ring_slots_run_past_64_bits():
+    # (3+4i)/5 forty times: the slots hold 4 * 7^40, about 2^115, and the
+    # product of the scales is 5^40; the word squares to the identity
+    a = Fraction(3, 5) + Fraction(4, 5) * zeta(4)
+    phase = ExactMatrix.from_entries(2, 2, {(0, 1): a, (1, 0): a.conj()})
+    dims, word = (1, 2, 2), [(phase, 0, 2)] * 40
+    (_,), (scale,), bits, m, _ = matrix._group_ring(dims, [matrix._sparse_gates(dims, word)])
+    assert bits > 64 and scale == 5 ** 40 and m == 4
+    assert gate_trace(dims, word) == gate_product(dims, word).trace() == 4
+    assert first_differing_row(dims, word, []) is None
+    assert first_differing_row(dims, word[1:], []) == 0
+
+
+def test_group_ring_compares_rows_in_the_field():
+    # H H^dagger is the identity written differently: its packed entries
+    # differ from those of the identity (1 + g^(m/2) maps to 0), and the
+    # field comparison still finds no differing row
+    inv_sqrt2 = (zeta(8) + zeta(8, 7)) / 2
+    h = ExactMatrix.from_entries(2, 2, {(0, 0): inv_sqrt2, (0, 1): inv_sqrt2,
+                                        (1, 0): inv_sqrt2, (1, 1): -inv_sqrt2})
+    dims = (2, 2, 2)
+    word = [(h, 1, 2), (h.dagger(), 1, 2)]
+    (x, _), (scale, _), bits, m, _ = matrix._group_ring(dims, [matrix._sparse_gates(dims, word), []])
+    assert sorted(matrix._ring_product(dims, x, m * bits)[0]) != [(0, scale)]
+    assert gate_trace(dims, word) == 8
+    assert first_differing_row(dims, word, []) is None
+    assert first_differing_row(dims, [], word) is None
+    assert first_differing_row(dims, word + [(h, 0, 1)], [(h, 0, 1)]) is None
+    assert first_differing_row(dims, word, [(h, 1, 2)]) == 0

@@ -229,14 +229,14 @@ def test_verify_rmatrix_matches_the_dense_oracle(monkeypatch):
         seen.add(expected[0])
     assert seen == {None, NotInvolutiveError, NotUnitaryError, YBEFailsError}
     # monomial candidates over Q(zeta_3) and Q(zeta_4) run the braid check
-    # on the phase-permutation engine, and never through a sparse product;
+    # on the phase-permutation engine, never on the packed group ring;
     # every candidate, given as sparse rows, gets the same outcome
     rng = random.Random(2409)
     monomial = [(m, d) for conductor in (3, 4) for _ in range(25) for d in (2, 3)
                 for m in seeded_monomial_candidates(rng, d, conductor)]
     products = []
-    product = matrix._product
-    monkeypatch.setattr(matrix, "_product", lambda dims, gates: products.append(1) or product(dims, gates))
+    group_ring = matrix._group_ring
+    monkeypatch.setattr(matrix, "_group_ring", lambda dims, words: products.append(1) or group_ring(dims, words))
     seen = set()
     for m, d in monomial:
         expected = dense_verify_outcome(m, d)
