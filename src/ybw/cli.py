@@ -138,7 +138,7 @@ def cmd_boxplus(args, report: Report) -> None:
     report.add("boxplus certification", True, f"d={result.d}")
     report.add("thoma parameters", True, str(extract_thoma(result)))
     if args.out:
-        codecs.write_json_file(args.out, codecs.rmatrix_file_to_json(result.d, result.m))
+        codecs.write_json_file(args.out, codecs.rmatrix_file_to_json(result.d, result.m, args.out))
         report.add("written", True, args.out)
 
 
@@ -199,7 +199,7 @@ def cmd_build(args, report: Report) -> None:
                        for b in layout.blocks)
     report.add("couple built", True, f"d={couple.d}, blocks [{blocks}]")
     codecs.write_json_file(args.out, codecs.couple_file_to_json(
-        couple.group, couple.d, couple.w, couple.r.m, [m for m in couple.pi]))
+        couple.group, couple.d, couple.w, couple.r.m, couple.pi, args.out))
     report.add("written", True, args.out)
 
 
@@ -248,6 +248,12 @@ def cmd_verify_theorem(args, report: Report) -> None:
                witness or f"{result.samples} sampled elements agree exactly")
 
 
+def _expected_weights(item: dict) -> tuple:
+    """The (alpha, beta) weights a manifest entry expects."""
+    return tuple(tuple(codecs.rational_from_str(v, item["file"]) for v in item[side])
+                 for side in ("alpha", "beta"))
+
+
 def cmd_selftest(args, report: Report) -> None:
     base = corpus_dir()
     manifest = codecs.read_json_file(base / "expectations.json")
@@ -256,12 +262,8 @@ def cmd_selftest(args, report: Report) -> None:
         path = base / item["file"]
         report.note_input(path)
         d, m = codecs.rmatrix_file_from_json(codecs.read_json_file(path), item["file"])
-        r = verify_rmatrix(m, d)
-        got = extract_thoma(r)
-        want_alpha = tuple(codecs.rational_from_str(v, item["file"]) for v in item["alpha"])
-        want_beta = tuple(codecs.rational_from_str(v, item["file"]) for v in item["beta"])
-        ok = got.alpha == want_alpha and got.beta == want_beta
-        report.add(f"{item['file']}: thoma", ok, str(got))
+        got = extract_thoma(verify_rmatrix(m, d))
+        report.add(f"{item['file']}: thoma", (got.alpha, got.beta) == _expected_weights(item), str(got))
     for item in manifest.get("params", []):
         path = base / item["file"]
         report.note_input(path)
@@ -270,10 +272,8 @@ def cmd_selftest(args, report: Report) -> None:
         report.add(f"{item['file']}: admissible", adm.verdict and adm.minimal_d == item["minimal_d"],
                    f"minimal_d={adm.minimal_d}")
         restriction = thoma_restriction(params)
-        want_alpha = tuple(codecs.rational_from_str(v, item["file"]) for v in item["alpha"])
-        want_beta = tuple(codecs.rational_from_str(v, item["file"]) for v in item["beta"])
-        report.add(f"{item['file']}: restriction", restriction.alpha == want_alpha
-                   and restriction.beta == want_beta, str(restriction))
+        report.add(f"{item['file']}: restriction",
+                   (restriction.alpha, restriction.beta) == _expected_weights(item), str(restriction))
         rng = Lcg64(rng_seed)
         sample = [rng.wreath_element(params.group, 1, 4) for _ in range(item.get("samples", 5))]
         result = end_to_end_check(params, sample)

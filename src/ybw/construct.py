@@ -5,7 +5,7 @@ tensor product of a copy of the irrep space (dimension dim) and a
 multiplicity space of dimension d * a / dim.  The block R-matrix flips the
 irrep components with sign (-1)^epsilon and leaves the multiplicity
 components in place, one entry per sparse row; the full R is the box-sum
-over blocks, and pi acts block-diagonally as irrep (x) identity.
+over blocks, and pi(t) is irrep (x) identity on each block, row by row.
 
 Built couples additionally satisfy the exchange identity
 R (pi(t) (x) 1) R = 1 (x) pi(t), checked exactly, which forces
@@ -21,7 +21,7 @@ from .couple import YangBaxterCouple, certify_couple, character
 from .cyclo import CycloScalar, MINUS_ONE, ONE
 from .errors import ExtendedREFailsError, NonIntegralBlocksError
 from .hirai import HiraiParams, closed_form_character, is_yb_admissible, thoma_restriction
-from .matrix import ExactMatrix, SparseOperator, amplify, gate_product
+from .matrix import SparseOperator, amplify, gate_product
 from .rmatrix import RMatrix, ThomaParams, boxplus, extract_thoma, verify_rmatrix
 from .wreath import WreathElement
 
@@ -114,19 +114,15 @@ def build_couple(p: HiraiParams, d: int | None = None) -> tuple[YangBaxterCouple
     parts = [certified_block_rmatrix(b.dim_v, b.dim_w, b.eps) for b in layout.blocks]
     r = boxplus(*parts)
     irreps = {rep.label: rep for rep in p.irreps}
-    pi_images = []
+    pi_rows = []
     for t in range(p.group.order):
-        m = ExactMatrix.zeros(d, d)
+        rows = []  # blocks are consecutive, so their rows come in order
         for b in layout.blocks:
-            zeta_t = irreps[b.label].images[t]
-            for x in range(b.dim_v):
-                for y in range(b.dim_v):
-                    v = zeta_t.data[x][y]
-                    if not v.is_zero():
-                        for k in range(b.dim_w):
-                            m.data[b.offset + x * b.dim_w + k][b.offset + y * b.dim_w + k] = v
-        pi_images.append(m)
-    couple = certify_couple(p.group, r, pi_images, 1)
+            for image_row in irreps[b.label].images[t].data:
+                entries = [(y, v) for y, v in enumerate(image_row) if not v.is_zero()]
+                rows += [[(b.offset + y * b.dim_w + k, v) for y, v in entries] for k in range(b.dim_w)]
+        pi_rows.append(SparseOperator(d, rows))
+    couple = certify_couple(p.group, r, pi_rows, 1)
     _check_exchange_identity(couple)
     return couple, layout
 
@@ -138,10 +134,9 @@ def _check_exchange_identity(c: YangBaxterCouple) -> None:
     dims = (c.d, c.d)
     r = (c.r.sparse, 0, 2)
     for t in c.group.generators:
-        if gate_product(dims, [r, (c.pi[t], 0, 1), r]) != amplify(c.pi[t], dims, 1, 2):
+        if gate_product(dims, [r, (c.pi_rows[t], 0, 1), r]) != amplify(c.pi_rows[t], dims, 1, 2):
             raise ExtendedREFailsError(f"exchange identity fails for element {t}; "
                                        "this indicates a builder bug")
-    return None
 
 
 @dataclass

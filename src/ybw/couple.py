@@ -9,13 +9,15 @@ A certified couple induces a representation of the wreath product on
 truncated spaces W (x) V^(x n) and, through the normalized trace, an
 extremal character evaluated here exactly.
 
-The image of a wreath element is one word of local gates, pi(t) on
-W (x) V_1 and R (as its certified sparse rows) on adjacent V-slots; no
-operator is kept between calls.  Certification checks the equation
-above as X_t pi(t') = pi(t') X_t, where X_t = R1 pi(t) R1 is a gate word,
-for t and t' in the generating set FiniteGroup.generators only: R1^2 = 1
-makes t -> X_t a homomorphism like pi, so when X_a commutes with pi(b)
-for all generators a and b, every X_t commutes with every pi(t').
+Like R, pi is kept as its certified sparse rows (pi_rows), read once from
+dense images, and the dense images (pi) are built on request.  The image
+of a wreath element is one word of local gates, pi(t) on W (x) V_1 and R
+on adjacent V-slots; no operator is kept between calls.  Certification
+checks the equation above as X_t pi(t') = pi(t') X_t, where
+X_t = R1 pi(t) R1 is a gate word, for t and t' in the generating set
+FiniteGroup.generators only: R1^2 = 1 makes t -> X_t a homomorphism like
+pi, so when X_a commutes with pi(b) for all generators a and b, every X_t
+commutes with every pi(t').
 Character values do not depend on the truncation level, because the
 operators act as the identity on appended factors, nor on the element
 within its conjugacy class.  So a character is evaluated at the compact
@@ -45,7 +47,7 @@ from .errors import (
     SupportsNotDisjointError,
 )
 from .groups import FiniteGroup, homomorphism_failure
-from .matrix import ExactMatrix, SparseOperator, amplify, gate_product, gate_trace
+from .matrix import ExactMatrix, SparseOperator, amplify, canonical_rows, gate_product, gate_trace
 from .perms import adjacent_word
 from .rmatrix import RMatrix
 from .wreath import WreathElement, compact_conjugator
@@ -64,18 +66,24 @@ MAX_OPERATOR_DIM = 1 << 16
 
 
 class YangBaxterCouple:
-    """A certified (pi, R) pair over a finite group."""
+    """A certified (pi, R) pair over a finite group: pi_rows holds one
+    canonical SparseOperator per group element, and pi is the dense view."""
 
-    __slots__ = ("group", "r", "pi", "w")
+    __slots__ = ("group", "r", "pi_rows", "w")
 
-    def __init__(self, group: FiniteGroup, r: RMatrix, pi: tuple[ExactMatrix, ...],
+    def __init__(self, group: FiniteGroup, r: RMatrix, pi_rows: tuple[SparseOperator, ...],
                  w: int, _certified: bool = False):
         if not _certified:
             raise TypeError("use certify_couple() to construct a couple")
         self.group = group
         self.r = r
-        self.pi = pi
+        self.pi_rows = pi_rows
         self.w = w
+
+    @property
+    def pi(self) -> tuple[ExactMatrix, ...]:
+        """The dense images, built from the rows on each call."""
+        return tuple(s.to_dense() for s in self.pi_rows)
 
     @property
     def d(self) -> int:
@@ -92,21 +100,27 @@ def certify_couple(group: FiniteGroup, r: RMatrix, pi_images, w: int) -> YangBax
     """Check that pi is a unitary representation on W (x) V and that the
     extended reflection equation holds over every pair of group elements.
 
+    Each image comes dense, read into rows once, or as rows, which must be
+    canonical (matrix.canonical_rows), and every check runs on the rows.
     Unitarity is checked on every image, the homomorphism property by
     groups.homomorphism_failure, and the equation, regrouped as
     X_a pi(b) = pi(b) X_a with X_a = R1 pi(a) R1 a gate word, on the pairs
     S x S of generators: two sparse products per pair."""
-    pi = tuple(pi_images)
-    if len(pi) != group.order:
+    images = tuple(pi_images)
+    if len(images) != group.order:
         raise NotHomomorphismError(
-            f"{len(pi)} pi images supplied for a group of order {group.order}")
+            f"{len(images)} pi images supplied for a group of order {group.order}")
     wd = w * r.d
-    for t, m in enumerate(pi):
-        if m.rows != wd or m.cols != wd:
+    pi = []
+    for t, m in enumerate(images):
+        shape = (m.rows, m.cols) if isinstance(m, ExactMatrix) else (len(m.rows), m.dim)
+        if shape != (wd, wd):
             raise DimensionMismatchError(
-                f"pi image of element {t} is {m.rows}x{m.cols}, expected {wd}x{wd}")
-        if not (m.dagger() * m).is_identity():
+                f"pi image of element {t} is {shape[0]}x{shape[1]}, expected {wd}x{wd}")
+        s = canonical_rows(m, f"pi({t})")
+        if not (s.dagger() * s).is_identity():
             raise NotUnitaryError(f"pi image of element {t} is not unitary")
+        pi.append(s)
     failure = homomorphism_failure(group, pi)
     if failure is not None:
         a, b = failure
@@ -121,7 +135,7 @@ def certify_couple(group: FiniteGroup, r: RMatrix, pi_images, w: int) -> YangBax
             if xs[a] * pi_amp[b] != pi_amp[b] * xs[a]:
                 raise ExtendedREFailsError(
                     f"extended reflection equation fails on the pair ({a},{b})")
-    return YangBaxterCouple(group, r, pi, w, _certified=True)
+    return YangBaxterCouple(group, r, tuple(pi), w, _certified=True)
 
 
 def rep_element(c: YangBaxterCouple, g: WreathElement, n: int) -> SparseOperator:
@@ -154,7 +168,7 @@ def _image_word(c: YangBaxterCouple, g: WreathElement, n: int) -> list:
     word = []
     for i in sorted(g.colors):
         stairs = [(r, j, j + 2) for j in range(1, i)]  # R_1 ... R_(i-1)
-        word += stairs[::-1] + [(c.pi[g.colors[i]], 0, 2)] + stairs
+        word += stairs[::-1] + [(c.pi_rows[g.colors[i]], 0, 2)] + stairs
     word += [(r, j, j + 2) for j in adjacent_word(g.perm, n)]
     return word
 

@@ -51,9 +51,6 @@ class HiraiParams:
     a: dict  # (label, eps) -> tuple[Fraction, ...], trailing zeros stripped
     mu: dict  # label -> Fraction
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(rep.label for rep in self.irreps)
-
     def a_list(self, label: str, eps: int) -> tuple[Fraction, ...]:
         return self.a.get((label, eps), ())
 

@@ -4,9 +4,9 @@ Rationals are serialized as strings "p/q" (or "p" for integers), never as
 floats, so files round-trip bit-exactly across languages.  A scalar is
 either such a string or {"N": conductor, "c": [coefficient strings]} with
 phi(N) power-basis coordinates and N <= MAX_CONDUCTOR.  Matrices list
-nonzero entries only and have at most MAX_MATRIX_DIM rows and columns; the
-lcm of the conductors in one R-matrix or couple file is at most
-MAX_CONDUCTOR too.
+nonzero entries only and have at most MAX_MATRIX_DIM rows and columns,
+written as read; the lcm of the conductors in one R-matrix or couple file
+is at most MAX_CONDUCTOR too.
 Files carry a "format": 1 version field; it may be omitted on input.
 
 Decoding validates shapes and ranges and raises SchemaError with the JSON
@@ -111,7 +111,11 @@ def scalar_from_json(obj, path: str) -> CycloScalar:
     return CycloScalar.from_coeffs(n, values)
 
 
-def matrix_to_json(m: ExactMatrix) -> dict:
+def matrix_to_json(m: ExactMatrix, path: str = "matrix") -> dict:
+    """The entries of m; a matrix the reader would refuse raises SchemaError
+    at ``path``, so nothing is written that cannot be read back."""
+    if m.rows > MAX_MATRIX_DIM or m.cols > MAX_MATRIX_DIM:
+        raise SchemaError(path, f"dimensions {m.rows} x {m.cols} exceed the limit {MAX_MATRIX_DIM}")
     conductor = 1
     entries = []
     for i in range(m.rows):
@@ -275,8 +279,8 @@ def params_from_json(obj, path: str) -> HiraiParams:
     return validate_params(group, irreps, a_raw, mu_raw)
 
 
-def rmatrix_file_to_json(d: int, m: ExactMatrix) -> dict:
-    out = matrix_to_json(m)
+def rmatrix_file_to_json(d: int, m: ExactMatrix, path: str = "rmatrix") -> dict:
+    out = matrix_to_json(m, path)
     out["format"] = FORMAT_VERSION
     out["d"] = d
     return out
@@ -292,14 +296,15 @@ def rmatrix_file_from_json(obj, path: str) -> tuple[int, ExactMatrix]:
     return obj["d"], m
 
 
-def couple_file_to_json(group: FiniteGroup, d: int, w: int, r: ExactMatrix, pi) -> dict:
+def couple_file_to_json(group: FiniteGroup, d: int, w: int, r: ExactMatrix, pi,
+                        path: str = "couple") -> dict:
     return {
         "format": FORMAT_VERSION,
         "group": group_to_json(group),
         "d": d,
         "w": w,
-        "r": matrix_to_json(r),
-        "pi": [matrix_to_json(m) for m in pi],
+        "r": matrix_to_json(r, f"{path}.r"),
+        "pi": [matrix_to_json(m, f"{path}.pi[{k}]") for k, m in enumerate(pi)],
     }
 
 

@@ -114,20 +114,6 @@ class ExactMatrix:
 
     __hash__ = None
 
-    def __neg__(self) -> ExactMatrix:
-        return ExactMatrix(self.rows, self.cols, [[-v for v in row] for row in self.data])
-
-    def __add__(self, other: ExactMatrix) -> ExactMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatchError(f"add {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        return ExactMatrix(
-            self.rows, self.cols,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-        )
-
-    def __sub__(self, other: ExactMatrix) -> ExactMatrix:
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
             if self.cols != other.rows:
@@ -256,6 +242,26 @@ class SparseOperator:
         return f"SparseOperator(dim={self.dim}, nnz={sum(len(r) for r in self.rows)})"
 
 
+def canonical_rows(m: ExactMatrix | SparseOperator, name: str) -> SparseOperator:
+    """m as sparse rows, a dense m read once.  The rows must be canonical,
+    the form SparseOperator equality and products assume: one row per basis
+    vector, each sorted by column with no repeats, no zero entry and every
+    column in range; the error names the operator.  O(nnz)."""
+    s = SparseOperator.from_dense(m) if isinstance(m, ExactMatrix) else m
+    if len(s.rows) != s.dim:
+        raise DimensionMismatchError(f"{len(s.rows)} sparse rows for dimension {s.dim}")
+    for i, row in enumerate(s.rows):
+        prev = -1
+        for j, v in row:
+            if not prev < j < s.dim:
+                raise DimensionMismatchError(
+                    f"row {i} of {name} has column {j} out of order or outside 0..{s.dim - 1}")
+            if v.is_zero():
+                raise DimensionMismatchError(f"row {i} of {name} holds a zero at column {j}")
+            prev = j
+    return s
+
+
 def matmul(a, b):
     """Exact product of two dense matrices or two sparse operators."""
     out = a * b
@@ -278,7 +284,7 @@ def flip_operator(d1: int, d2: int) -> ExactMatrix:
     return m
 
 
-def amplify(op: ExactMatrix, dims, start: int, stop: int) -> SparseOperator:
+def amplify(op: ExactMatrix | SparseOperator, dims, start: int, stop: int) -> SparseOperator:
     """Materialize 1 (x) ... (x) op (x) ... (x) 1 on the full tensor space.
 
     ``op`` acts on the contiguous factor slots [start, stop) of a space with

@@ -37,7 +37,7 @@ from .errors import (
     SupportExceedsLevelError,
     YBEFailsError,
 )
-from .matrix import ExactMatrix, SparseOperator, first_differing_row, gate_product
+from .matrix import ExactMatrix, SparseOperator, canonical_rows, first_differing_row, gate_product
 from .perms import FinitePermutation, adjacent_word
 
 
@@ -111,17 +111,15 @@ def verify_rmatrix(m: ExactMatrix | SparseOperator, d: int) -> RMatrix:
     """Certify involutivity, unitarity and the braid relation, exactly.
 
     R comes dense, read into rows once, or as rows, which must be canonical
-    (_check_rows).  Each check runs on the rows: R^2 = 1 on the sparse
-    square of R, then unitarity as R^dagger = R (given R^-1 = R), then
-    R12 R23 R12 = R23 R12 R23 as two gate words compared by
+    (matrix.canonical_rows).  Each check runs on the rows: R^2 = 1 on the
+    sparse square of R, then unitarity as R^dagger = R (given R^-1 = R),
+    then R12 R23 R12 = R23 R12 R23 as two gate words compared by
     first_differing_row, so no amplified R is built.
     """
-    dense = isinstance(m, ExactMatrix)
-    shape = (m.rows, m.cols) if dense else (m.dim, m.dim)
+    shape = (m.rows, m.cols) if isinstance(m, ExactMatrix) else (m.dim, m.dim)
     if shape != (d * d, d * d):
         raise DimensionMismatchError(f"expected a {d * d}x{d * d} matrix, got {shape[0]}x{shape[1]}")
-    s = SparseOperator.from_dense(m) if dense else m
-    _check_rows(s)
+    s = canonical_rows(m, "R")
     for i, row in enumerate((s * s).rows):
         entries = dict(row)
         entries.setdefault(i, ZERO)
@@ -138,23 +136,6 @@ def verify_rmatrix(m: ExactMatrix | SparseOperator, d: int) -> RMatrix:
         raise YBEFailsError(
             f"braid relation fails: row {idx} of R12 R23 R12 and R23 R12 R23 differ")
     return RMatrix(d, s, _certified=True)
-
-
-def _check_rows(s: SparseOperator) -> None:
-    """One row per basis vector, each sorted by column with no repeats, no
-    zero entry and every column in range: the form SparseOperator equality
-    and products assume.  O(nnz)."""
-    if len(s.rows) != s.dim:
-        raise DimensionMismatchError(f"{len(s.rows)} sparse rows for dimension {s.dim}")
-    for i, row in enumerate(s.rows):
-        prev = -1
-        for j, v in row:
-            if not prev < j < s.dim:
-                raise DimensionMismatchError(
-                    f"row {i} of R has column {j} out of order or outside 0..{s.dim - 1}")
-            if v.is_zero():
-                raise DimensionMismatchError(f"row {i} of R holds a zero at column {j}")
-            prev = j
 
 
 def boxplus(*parts: RMatrix) -> RMatrix:

@@ -15,7 +15,7 @@ from ybw.couple import certify_couple, character
 from ybw.cyclo import CycloScalar
 from ybw.errors import ExtendedREFailsError, NonIntegralBlocksError
 from ybw.groups import CATALOG_NAMES, catalog_irreps, load_group
-from ybw.hirai import thoma_restriction, validate_params
+from ybw.hirai import is_yb_admissible, thoma_restriction, validate_params
 from ybw.matrix import ExactMatrix, SparseOperator, amplify, flip_operator
 from ybw.rmatrix import (
     ThomaParams,
@@ -211,6 +211,36 @@ def test_built_r_can_differ_from_normal_form_as_operator():
     assert couple.r.m != nf.m
     assert extract_thoma(couple.r) == extract_thoma(nf) == t
     assert cycle_trace_sequence(couple.r, 5) == cycle_trace_sequence(nf, 5)
+
+
+def dense_pi_images(p, layout):
+    """pi(t) filled entry by entry into a dense matrix, irrep (x) identity
+    on each block: the oracle of the builder's rows."""
+    irreps = {rep.label: rep for rep in p.irreps}
+    out = []
+    for t in range(p.group.order):
+        m = ExactMatrix.zeros(layout.d, layout.d)
+        for b in layout.blocks:
+            image = irreps[b.label].images[t].data
+            for x in range(b.dim_v):
+                for y in range(b.dim_v):
+                    for k in range(b.dim_w):
+                        m.data[b.offset + x * b.dim_w + k][b.offset + y * b.dim_w + k] = image[x][y]
+        out.append(m)
+    return tuple(out)
+
+
+def test_built_pi_rows_match_the_dense_fill_and_recertify(corpus_params):
+    # the rows the builder writes are the dense fill's, and certifying the
+    # dense view reads back the same canonical rows; at twice the minimal d
+    # two-dimensional irreps get multiplicity 2
+    for name, params in corpus_params.items():
+        d = is_yb_admissible(params).minimal_d
+        for couple, layout in (build_couple(params, d), build_couple(params, 2 * d)):
+            assert couple.pi == dense_pi_images(params, layout), (name, couple.d)
+            again = certify_couple(params.group, couple.r, couple.pi, 1)
+            assert again.pi_rows == couple.pi_rows, (name, couple.d)
+            assert all(isinstance(s, SparseOperator) for s in again.pi_rows), name
 
 
 def test_exchange_identity_dense_oracle(corpus_couples):

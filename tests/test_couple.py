@@ -13,8 +13,9 @@ from ybw.couple import (
     rep_element,
     verify_extremality,
 )
-from ybw.cyclo import CycloScalar, zeta
+from ybw.cyclo import ONE, CycloScalar, scalar, zeta
 from ybw.errors import (
+    DimensionMismatchError,
     ExtendedREFailsError,
     NotHomomorphismError,
     NotUnitaryError,
@@ -23,7 +24,7 @@ from ybw.errors import (
     SupportsNotDisjointError,
 )
 from ybw.groups import catalog_irreps, load_group
-from ybw.hirai import validate_params
+from ybw.hirai import closed_form_character, validate_params
 from ybw import matrix
 from ybw.matrix import ExactMatrix, SparseOperator, amplify, flip_operator, gate_product, gate_trace
 from ybw.perms import FinitePermutation
@@ -163,15 +164,98 @@ def test_certify_couple_names_the_pair_of_the_amplified_oracle():
             else:
                 pi = seeded_cyclic_pi(rng, group.order, w * r.d)
             expected = amplified_ere_failure(group, r, pi, w)
-            try:
-                certify_couple(group, r, pi, w)
-                got = None
-            except ExtendedREFailsError as exc:
-                got = str(exc)
-            assert got == (expected and "extended reflection equation fails on the pair "
-                                        f"({expected[0]},{expected[1]})"), (name, w, r.m.data)
+            # the same verdict and message from dense images and from rows
+            for images in (pi, [SparseOperator.from_dense(m) for m in pi]):
+                try:
+                    certify_couple(group, r, images, w)
+                    got = None
+                except ExtendedREFailsError as exc:
+                    got = str(exc)
+                assert got == (expected and "extended reflection equation fails on the pair "
+                                            f"({expected[0]},{expected[1]})"), (name, w, r.m.data)
             outcomes.add(expected)
     assert None in outcomes and len(outcomes) > 3
+
+
+@pytest.mark.parametrize("dim, broken, witness", [
+    (4, {1: [(2, ONE), (1, ONE)]}, "row 1 of pi(1) has column 1 out of order or outside 0..3"),
+    (4, {1: [(1, ONE), (1, ONE)]}, "row 1 of pi(1) has column 1 out of order"),
+    (4, {2: [(4, ONE)]}, "row 2 of pi(1) has column 4 out of order or outside 0..3"),
+    (4, {3: [(-1, ONE)]}, "row 3 of pi(1) has column -1 out of order"),
+    (4, {0: [(0, ONE), (2, scalar(0))]}, "row 0 of pi(1) holds a zero at column 2"),
+    (4, {3: None}, "pi image of element 1 is 3x4, expected 4x4"),
+    (9, {}, "pi image of element 1 is 9x9, expected 4x4"),
+    # two halves in one column: pi(1) = [[1/2 + 1/2]] would pass every product
+    (1, {0: [(0, scalar(Fraction(1, 2))), (0, scalar(Fraction(1, 2)))]},
+     "row 0 of pi(1) has column 0 out of order"),
+])
+def test_certify_couple_rejects_pi_rows_out_of_canonical_form(z2, dim, broken, witness):
+    # the cases verify_rmatrix refuses in R, on pi(1) of a couple with
+    # w * d = 4 (or 1 for the last case)
+    rows = [[(i, ONE)] for i in range(dim)]
+    for i, row in broken.items():
+        rows[i] = row
+    d = 1 if dim == 1 else 2  # w = d
+    pi = [SparseOperator.identity(d * d), SparseOperator(dim, [row for row in rows if row is not None])]
+    with pytest.raises(DimensionMismatchError, match=re.escape(witness)):
+        certify_couple(z2, scalar_rmatrix(d, +1), pi, d)
+
+
+def block_unitary(layout):
+    """A unitary on V acting on each builder block as A (x) 1: A rotates
+    two-dimensional irrep factors by a Pythagorean angle with a phase, and
+    puts a phase on the others.  Conjugating a built couple by it keeps R's
+    rows monomial and gives pi rows of several entries."""
+    b = Fraction(4, 5) * zeta(12)
+    rot = {(0, 0): Fraction(3, 5), (0, 1): b, (1, 0): -b.conj(), (1, 1): Fraction(3, 5)}
+    entries = {}
+    for blk in layout.blocks:
+        a = rot if blk.dim_v == 2 else {(x, x): zeta(12) for x in range(blk.dim_v)}
+        for (x, y), v in a.items():
+            for k in range(blk.dim_w):
+                entries[blk.offset + x * blk.dim_w + k, blk.offset + y * blk.dim_w + k] = v
+    return ExactMatrix.from_entries(layout.d, layout.d, entries)
+
+
+def test_couples_certify_and_trace_without_dense_products(corpus_couples, monkeypatch):
+    # pi is kept as rows: certification multiplies no dense matrices and
+    # reads dense images into rows once, and no character reads a dense
+    # image; on built couples from dense images and from rows, and on their
+    # block-unitary conjugates
+    cases = []
+    for params, couple, layout in corpus_couples.values():
+        u = block_unitary(layout)
+        uu = u.kron(u)
+        conjugated = verify_rmatrix(uu * couple.r.m * uu.dagger(), couple.d)
+        cases += [(params, couple.r, couple.pi), (params, couple.r, couple.pi_rows),
+                  (params, conjugated, [u * m * u.dagger() for m in couple.pi])]
+    counts = {"from_dense": 0, "dense_mul": 0}
+    from_dense, dense_mul = vars(SparseOperator)["from_dense"].__func__, ExactMatrix.__mul__
+
+    def counted_from_dense(cls, m):
+        counts["from_dense"] += 1
+        return from_dense(cls, m)
+
+    def counted_dense_mul(a, b):
+        counts["dense_mul"] += 1
+        return dense_mul(a, b)
+
+    monkeypatch.setattr(SparseOperator, "from_dense", classmethod(counted_from_dense))
+    monkeypatch.setattr(ExactMatrix, "__mul__", counted_dense_mul)
+    rng = Lcg64(13)
+    filled = 0
+    for params, r, pi in cases:
+        counts.update(from_dense=0, dense_mul=0)
+        couple = certify_couple(params.group, r, pi, 1)
+        dense = isinstance(pi[0], ExactMatrix)
+        assert counts == {"from_dense": len(pi) if dense else 0, "dense_mul": 0}
+        counts["from_dense"] = 0
+        for _ in range(4):
+            g = rng.wreath_element(params.group, 1, 3)
+            assert character(couple, g) == closed_form_character(params, g)
+        assert counts == {"from_dense": 0, "dense_mul": 0}
+        filled += any(len(row) > 1 for s in couple.pi_rows for row in s.rows)
+    assert filled >= 2  # the conjugates of the two-dimensional irreps
 
 
 def all_pairs_couple_failure(group, r, pi, w):

@@ -402,6 +402,42 @@ def test_cli_boxplus(tmp_path, capsys):
     assert verify_rmatrix(m, d).sparse == boxplus(flip2, flip2).sparse
 
 
+def test_cli_build_refuses_to_write_what_check_couple_refuses(tmp_path, capsys):
+    # at d = 34 the R matrix is 1156 x 1156, above the reader's limit, so
+    # the writer refuses it too and no file is left behind
+    params = str(corpus_dir() / "z2_half_half.params.json")
+    out_file = tmp_path / "couple.json"
+    code, _, err = run_cli(capsys, "build", params, "--d", "34", "--out", str(out_file))
+    assert code == 2 and not out_file.exists()
+    assert err == (f"error: malformed input: {out_file}.r: dimensions 1156 x 1156 exceed the limit "
+                   f"{codecs.MAX_MATRIX_DIM}\n")
+    # d = 32 is the largest that fits, and it still round-trips
+    code, _, _ = run_cli(capsys, "build", params, "--d", "32", "--out", str(out_file))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "check-couple", str(out_file))
+    assert code == 0 and "d=32" in out
+
+
+def test_cli_boxplus_refuses_to_write_what_its_reader_refuses(tmp_path, capsys):
+    files = []
+    for d in (16, 17):
+        files.append(tmp_path / f"flip{d}.json")
+        codecs.write_json_file(files[-1], codecs.rmatrix_file_to_json(d, flip_operator(d, d)))
+    out_file = tmp_path / "sum.json"
+    code, _, err = run_cli(capsys, "boxplus", *map(str, files), "--out", str(out_file))
+    assert code == 2 and not out_file.exists()
+    assert err == (f"error: malformed input: {out_file}: dimensions 1089 x 1089 exceed the limit "
+                   f"{codecs.MAX_MATRIX_DIM}\n")
+
+
+def test_matrix_writer_refuses_a_matrix_above_the_limit():
+    big = codecs.MAX_MATRIX_DIM + 1
+    with pytest.raises(SchemaError, match=rf"^m: dimensions {big} x 1 exceed the limit "):
+        codecs.matrix_to_json(ExactMatrix.zeros(big, 1), "m")
+    assert codecs.matrix_to_json(ExactMatrix.zeros(1, codecs.MAX_MATRIX_DIM))["dim_cols"] == \
+        codecs.MAX_MATRIX_DIM
+
+
 def test_cli_params_check(capsys):
     path = str(corpus_dir() / "z3_eps_mix.params.json")
     code, out, _ = run_cli(capsys, "params", "check", path)

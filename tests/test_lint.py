@@ -55,3 +55,20 @@ def test_every_name_the_benchmark_tracer_patches_exists():
     if not hasattr(importlib.import_module("ybw.rmatrix"), "partition_pairs"):
         missing.append("ybw.rmatrix.partition_pairs")
     assert tracer.SPAN_TARGETS and not missing, f"names bench/tracer.py patches are gone: {missing}"
+
+
+def test_no_unused_imports_in_the_package():
+    # an import that nothing reads is left over from code that moved away
+    offenders = []
+    for path in sorted(Path(ybw.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports are its purpose
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                for alias in node.names:
+                    bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+    assert not offenders, f"unused imports in src/ybw: {', '.join(sorted(offenders))}"
