@@ -191,8 +191,17 @@ def _check_positive(option: str, value) -> None:
         raise SchemaError(option, f"must be a positive integer, got {value}")
 
 
+def _check_rmatrix_dim(path: str, d) -> None:
+    # R is d^2 x d^2, and no file holds one above io.MAX_MATRIX_DIM; refuse
+    # it before the couple and its dense view are built
+    if d is not None and d * d > codecs.MAX_MATRIX_DIM:
+        raise SchemaError(path, f"dimensions {d * d} x {d * d} exceed the limit "
+                                f"{codecs.MAX_MATRIX_DIM}")
+
+
 def cmd_build(args, report: Report) -> None:
     _check_positive("--d", args.d)
+    _check_rmatrix_dim(f"{args.out}.r", args.d)
     params = _load_params(args.file, report)
     couple, layout = build_couple(params, args.d)
     blocks = ", ".join(f"({b.label},{b.eps},{b.index}):{b.dim_v}x{b.dim_w}"
@@ -234,6 +243,7 @@ def cmd_char(args, report: Report) -> None:
 def cmd_verify_theorem(args, report: Report) -> None:
     _check_positive("--samples", args.samples)
     _check_positive("--d", args.d)
+    _check_rmatrix_dim("--d", args.d)
     params = _load_params(args.file, report)
     rng = Lcg64(args.seed)
     sample = [rng.wreath_element(params.group, 1, 5) for _ in range(args.samples)]

@@ -20,8 +20,9 @@ pi, so when X_a commutes with pi(b) for all generators a and b, every X_t
 commutes with every pi(t').
 Character values do not depend on the truncation level, because the
 operators act as the identity on appended factors, nor on the element
-within its conjugacy class.  So a character is evaluated at the compact
-conjugate of the element (wreath.compact_conjugator), at level
+within its conjugacy class.  So a character is read at the element's
+compact form (wreath.compact_form: the conjugate written on positions
+1..|support| from its cycles, one color per cycle), at level
 n = max(|support|, 1), by matrix.gate_trace.  That runs on the
 phase-permutation engine when every gate has one root-of-unity entry per
 row, as on the builder's couples, and on packed integers of the group
@@ -50,7 +51,7 @@ from .groups import FiniteGroup, homomorphism_failure
 from .matrix import ExactMatrix, SparseOperator, amplify, canonical_rows, gate_product, gate_trace
 from .perms import adjacent_word
 from .rmatrix import RMatrix
-from .wreath import WreathElement, compact_conjugator
+from .wreath import WreathElement, compact_form
 
 # The largest dimension w * d^n of an image rep_element builds or character
 # traces (at level |supp| there).  An image holds one row list per basis
@@ -63,6 +64,10 @@ from .wreath import WreathElement, compact_conjugator
 # CycloScalar rows).  Tier-1, the scripts and the benchmark workloads stay
 # at or below 4096 (d = 4 at level 6).
 MAX_OPERATOR_DIM = 1 << 16
+# The largest level of an image, the one d = 2 reaches at MAX_OPERATOR_DIM.
+# It bounds d = 1 images, whose dimension w never grows while the word does:
+# n^2 R gates of color staircases and an adjacent-transposition word.
+MAX_LEVEL = MAX_OPERATOR_DIM.bit_length() - 1
 
 
 class YangBaxterCouple:
@@ -125,6 +130,11 @@ def certify_couple(group: FiniteGroup, r: RMatrix, pi_images, w: int) -> YangBax
     if failure is not None:
         a, b = failure
         raise NotHomomorphismError(f"pi({a}) pi({b}) != pi({a}*{b})")
+    # These checks multiply small operators, so comparing words with
+    # matrix.first_differing_row instead does not pay for its packing: on
+    # the benchmark's conjugated couples the equation alone ran about as
+    # fast, and unitarity, homomorphism and equation together 1.5-2.4x
+    # slower (q8, d = 4: 2.5 -> 5.7 ms a call on a 2-vCPU host).
     dims = (w, r.d, r.d)
     r1 = (r.sparse, 1, 3)
     gens = group.generators
@@ -145,8 +155,8 @@ def rep_element(c: YangBaxterCouple, g: WreathElement, n: int) -> SparseOperator
     order, of R_(i-1) ... R_1 pi(t_i) R_1 ... R_(i-1); the permutation part
     is R at the slots of the adjacent-transposition word of the
     permutation, with the identity on W.  Both parts form one gate word.
-    An image of dimension w * d^n above MAX_OPERATOR_DIM raises
-    OperatorTooLargeError before anything is allocated.
+    An image of dimension w * d^n above MAX_OPERATOR_DIM, or of a level n
+    above MAX_LEVEL, raises OperatorTooLargeError before its word is built.
     """
     word = _image_word(c, g, n)
     return gate_product(c.layout(n), word)
@@ -158,12 +168,16 @@ def _image_word(c: YangBaxterCouple, g: WreathElement, n: int) -> list:
         raise GroupMismatchError("element is over a different group than the couple")
     if g.max_support() > n:
         raise SupportExceedsLevelError(f"support reaches {g.max_support()}, level is {n}")
-    # d >= 2 passes the limit within its bit length of factors, so the
-    # capped exponent decides the check without forming d^n for a huge n
-    if c.w * c.d ** min(n, MAX_OPERATOR_DIM.bit_length()) > MAX_OPERATOR_DIM:
+    # d >= 2 passes the limit by level MAX_LEVEL + 1, so the capped exponent
+    # decides the check without forming d^n for a huge n
+    if c.w * c.d ** min(n, MAX_LEVEL + 1) > MAX_OPERATOR_DIM:
         raise OperatorTooLargeError(
             f"the image on W (x) V^(x {n}) has dimension w*d^n = {c.w}*{c.d}^{n}, "
             f"above the limit MAX_OPERATOR_DIM = {MAX_OPERATOR_DIM}")
+    if n > MAX_LEVEL:
+        raise OperatorTooLargeError(
+            f"the image on W (x) V^(x {n}) has level n = {n}, above the limit "
+            f"MAX_LEVEL = {MAX_LEVEL}")
     r = c.r.sparse
     word = []
     for i in sorted(g.colors):
@@ -176,12 +190,11 @@ def _image_word(c: YangBaxterCouple, g: WreathElement, n: int) -> list:
 def character(c: YangBaxterCouple, g: WreathElement) -> CycloScalar:
     """Normalized trace of the image of g.
 
-    The trace is taken at the compact conjugate h = k g k^-1 of
-    wreath.compact_conjugator, on n = max(|supp g|, 1) tensor factors, by
-    matrix.gate_trace: conjugation leaves the trace unchanged.
+    The trace is taken at h = wreath.compact_form(g), a conjugate of g, on
+    n = max(|supp g|, 1) tensor factors, by matrix.gate_trace: conjugation
+    leaves the trace unchanged.
     """
-    k = compact_conjugator(g)
-    h = k * g * k.inverse()
+    h = compact_form(g)
     n = max(h.max_support(), 1)
     word = _image_word(c, h, n)
     return gate_trace(c.layout(n), word) / (c.w * c.d ** n)

@@ -9,7 +9,9 @@ by relabeling positions.
 The standard decomposition splits an element into elementary parts (one
 colored position, trivial permutation) and cyclic parts (one cycle carrying
 the colors on its support); together with the class of the color product
-along each cycle it yields a complete conjugacy invariant.
+along each cycle it yields a complete conjugacy invariant.  compact_form
+writes a conjugate of an element straight from its cycles, on positions
+1..|supp| with one color per cycle; characters are read at that element.
 """
 
 from __future__ import annotations
@@ -86,31 +88,26 @@ class WreathElement:
         return f"Wreath({'{' + ', '.join(parts) + '}'}, {self.perm})"
 
 
-def compact_conjugator(g: WreathElement) -> WreathElement:
-    """An element k such that k g k^-1 lives on 1..m, m = |supp g|, with at
-    most one color per cycle.
-
-    The permutation part sends the fixed colored points of g, in increasing
-    order, to 1, 2, ..., then each cycle to the next consecutive positions,
-    in cycle order; the positions of 1..m outside the support go to the
-    support's positions above m.  The color part c collapses each cycle's
-    colors onto its first position p_1: along p_1 -> p_2 -> ... it solves
-    c(p_(j+1)) = c(p_j) t(p_(j+1))^-1, which clears the color at p_(j+1).
+def compact_form(g: WreathElement) -> WreathElement:
+    """A conjugate of g on 1..m, m = |supp g|, with at most one color per
+    cycle: the fixed colored points of g, in increasing order, keep their
+    colors on 1..e, then each cycle (p_1 ... p_L) of g.perm.cycles() runs
+    over the next L positions, with the single color t(p_1) t(p_L) ... t(p_2)
+    on its first.  Relabeling the support in this order and collapsing each
+    cycle's colors onto p_1 conjugates g to it.
     """
-    group = g.group
-    cycles = g.perm.cycles()
-    collapse = {}
-    for cyc in cycles:
+    fixed = sorted(p for p in g.colors if g.perm(p) == p)
+    colors = {i: g.colors[p] for i, p in enumerate(fixed, 1)}
+    cycles = []
+    s = len(fixed)
+    for cyc in g.perm.cycles():
         acc = 0
-        for p in cyc[1:]:
-            acc = group.mul(acc, group.inv(g.colors.get(p, 0)))
-            collapse[p] = acc
-    order = sorted(p for p in g.colors if g.perm(p) == p) + [p for cyc in cycles for p in cyc]
-    m = len(order)
-    relabel = {p: i for i, p in enumerate(order, 1)}
-    free = [q for q in range(1, m + 1) if q not in relabel]
-    relabel.update(zip(free, [p for p in order if p > m]))
-    return WreathElement(group, {}, FinitePermutation(relabel)) * WreathElement(group, collapse)
+        for p in cyc[:1] + cyc[:0:-1]:  # p_1, p_L, ..., p_2
+            acc = g.group.mul(acc, g.colors.get(p, 0))
+        colors[s + 1] = acc
+        cycles.append(range(s + 1, s + len(cyc) + 1))
+        s += len(cyc)
+    return WreathElement(g.group, colors, FinitePermutation.from_cycles(cycles))
 
 
 @dataclass(frozen=True)

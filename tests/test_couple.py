@@ -1,11 +1,13 @@
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
 from ybw.construct import build_couple
 from ybw.couple import (
+    MAX_LEVEL,
     MAX_OPERATOR_DIM,
     certify_couple,
     character,
@@ -473,6 +475,22 @@ def test_rep_element_rejects_an_image_above_the_limit(pm_couple, z2):
         character(pm_couple, WreathElement(z2, {p: 1 for p in range(100, 117)}))
 
 
+def test_a_one_dimensional_couple_refuses_a_level_above_the_limit(z2):
+    # at d = 1 the dimension w never passes MAX_OPERATOR_DIM while the word
+    # grows as n^2 gates, so the level is bounded by the one d = 2 reaches
+    c = certify_couple(z2, scalar_rmatrix(1, +1), [ExactMatrix.identity(1), ExactMatrix.diag([-1])], 1)
+    assert MAX_LEVEL == 16 and 2 ** MAX_LEVEL == MAX_OPERATOR_DIM
+    assert character(c, WreathElement(z2, {p: 1 for p in range(1, 17)})) == 1
+    assert rep_element(c, WreathElement(z2, {16: 1}), 16).trace() == -1
+    g = WreathElement(z2, {p: 1 for p in range(1, 5001)})
+    start = time.perf_counter()
+    with pytest.raises(OperatorTooLargeError, match=r"level n = 5000, above the limit MAX_LEVEL = 16"):
+        character(c, g)
+    with pytest.raises(OperatorTooLargeError, match=r"level n = 5000, above the limit MAX_LEVEL = 16"):
+        rep_element(c, g, 5000)
+    assert time.perf_counter() - start < 1
+
+
 def test_character_does_not_depend_on_where_the_support_sits(pm_couple, flip_couple,
                                                               corpus_couples, z2):
     for c in (pm_couple, flip_couple):
@@ -511,12 +529,23 @@ def test_truncation_independence(pm_couple, z2):
             assert value == base
 
 
-def test_centrality(pm_couple, z2):
+def test_centrality(pm_couple, z2, corpus_couples, differential_couples):
     rng = Lcg64(41)
     for _ in range(40):
         g = rng.wreath_element(z2, 1, 5)
         h = rng.wreath_element(z2, 1, 5)
         assert character(pm_couple, h * g * h.inverse()) == character(pm_couple, g)
+    # non-abelian colors, where the compact form's one color per cycle is
+    # the cycle's color product only up to conjugacy; the rotated couple is
+    # not monomial
+    couples = [corpus_couples[name][1] for name in ("s3_std.params.json", "q8_2dim.params.json")]
+    couples.append(differential_couples["s3_std.params.json rotated"][0])
+    rng = Lcg64(43)
+    for c in couples:
+        for _ in range(20):
+            g = rng.wreath_element(c.group, 1, 4)
+            h = rng.wreath_element(c.group, 1, 6)
+            assert character(c, h * g * h.inverse()) == character(c, g), (c, g, h)
 
 
 def test_char_of_inverse_is_conjugate(pm_couple, z2):

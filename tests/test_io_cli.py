@@ -337,6 +337,23 @@ def test_cli_char_at_a_huge_position_on_a_one_dimensional_couple(tmp_path, capsy
     assert time.perf_counter() - start < 5
 
 
+def test_cli_char_refuses_a_level_above_the_limit_on_a_one_dimensional_couple(tmp_path, capsys):
+    # d = 1 passes the dimension limit at every level, while the word grows
+    # as the square of the level: 1,600 colored positions once took 5 s
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"group": "z2", "a": {"chi1": {"0": ["1"]}}, "mu": {}}))
+    out_file = tmp_path / "couple.json"
+    code, out, _ = run_cli(capsys, "build", str(params), "--out", str(out_file))
+    assert code == 0 and "d=1" in out
+    elt = tmp_path / "elt.json"
+    elt.write_text(json.dumps({"colors": {str(p): 1 for p in range(1, 5001)}}))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "char", str(out_file), "--element", str(elt))
+    assert code == 1
+    assert "FAIL verification" in out and "level n = 5000, above the limit MAX_LEVEL = 16" in out
+    assert time.perf_counter() - start < 1
+
+
 def test_cli_rejects_a_file_whose_conductor_lcm_exceeds_the_limit(tmp_path, capsys):
     # zeta_997 and zeta_991 are each under MAX_CONDUCTOR, but their first
     # product would build Q(zeta_988027): a MemoryError after 36 s before
@@ -377,6 +394,22 @@ def test_cli_rejects_a_dimension_below_one(tmp_path, capsys, command, d):
     code, out, err = run_cli(capsys, command, params, "--d", d, *extra)
     assert code == 2 and out == ""
     assert err == f"error: malformed input: --d: must be a positive integer, got {d}\n"
+
+
+@pytest.mark.parametrize("command", ["build", "verify-theorem"])
+def test_cli_rejects_a_dimension_whose_rmatrix_exceeds_the_matrix_limit(tmp_path, capsys, command):
+    # build once made the couple and its dense R (d^4 entries) before the
+    # writer refused it, and verify-theorem had no bound at all
+    params = str(corpus_dir() / "z2_half_half.params.json")
+    out_file = tmp_path / "c.json"
+    extra = ["--out", str(out_file)] if command == "build" else []
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, params, "--d", "100000", *extra)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and not out_file.exists()
+    path = f"{out_file}.r" if command == "build" else "--d"
+    assert err == (f"error: malformed input: {path}: dimensions 10000000000 x 10000000000 "
+                   f"exceed the limit {codecs.MAX_MATRIX_DIM}\n")
 
 
 def test_cli_element(tmp_path, capsys):

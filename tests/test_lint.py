@@ -1,9 +1,12 @@
 import ast
 import importlib
 import importlib.util
+import sys
+import time
 from pathlib import Path
 
 import ybw
+from ybw.rng import Lcg64
 
 
 def test_no_assert_statements_in_the_package():
@@ -55,6 +58,26 @@ def test_every_name_the_benchmark_tracer_patches_exists():
     if not hasattr(importlib.import_module("ybw.rmatrix"), "partition_pairs"):
         missing.append("ybw.rmatrix.partition_pairs")
     assert tracer.SPAN_TARGETS and not missing, f"names bench/tracer.py patches are gone: {missing}"
+
+
+def test_one_cycle_of_each_in_process_benchmark_workload_passes(tmp_path, monkeypatch):
+    # the workloads call the program through RMatrix.m, YangBaxterCouple.pi,
+    # the ExactMatrix arithmetic and a dense verify_rmatrix; one cycle each
+    # keeps a change there from surfacing only when the benchmark runs
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    start = time.perf_counter()
+    for name in ("theorem", "conjugated", "thoma"):
+        workload = workloads.WORKLOADS[name](path.parent.parent, tmp_path)
+        state = workload.setup(1)
+        items = workload.cycle(state, Lcg64(1), 0)
+        verdicts = [workload.run(state, item, in_process=True) for item in items]
+        assert items and set(verdicts) == {workloads.PASS}, (name, verdicts)
+        workload.teardown(state)
+    assert time.perf_counter() - start < 1
 
 
 def test_no_unused_imports_in_the_package():

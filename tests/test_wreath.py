@@ -7,8 +7,8 @@ from ybw.rng import Lcg64
 from ybw.wreath import (
     CyclicPart,
     WreathElement,
+    compact_form,
     conjugacy_invariant,
-    compact_conjugator,
     cycle_product_class,
     is_conjugate,
     standard_decomposition,
@@ -162,10 +162,10 @@ def test_distinct_invariants_detect_non_conjugates(s3):
 
 
 @pytest.mark.parametrize("name", ["s3", "q8"])
-def test_compact_conjugator_moves_the_support_onto_an_initial_segment(name):
-    # k g k^-1 keeps the class, lives on exactly 1..|supp g|, and carries at
-    # most one color per cycle; windows far from 1 and split supports make
-    # the relabeling fill the gaps below |supp g|
+def test_compact_form_moves_the_support_onto_an_initial_segment(name):
+    # the compact form keeps the class, lives on exactly 1..|supp g|, and
+    # carries at most one color per cycle, for supports far from 1 and
+    # split ones alike
     group = load_group(name)
     rng = Lcg64(71)
     windows = [(1, 6), (3, 9), (20, 26), (40, 41)]
@@ -174,8 +174,7 @@ def test_compact_conjugator_moves_the_support_onto_an_initial_segment(name):
         g = rng.wreath_element(group, lo, hi)
         if rng.below(2):
             g = g * rng.wreath_element(group, 50 + lo, 50 + hi)
-        k = compact_conjugator(g)
-        h = k * g * k.inverse()
+        h = compact_form(g)
         assert conjugacy_invariant(h) == conjugacy_invariant(g), g
         assert h.support() == tuple(range(1, len(g.support()) + 1)), g
         assert all(len(part.colors) <= 1 for part in standard_decomposition(h).cyclic), g
