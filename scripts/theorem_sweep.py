@@ -26,6 +26,9 @@ def main():
     ap.add_argument("--pairs", type=int, default=25,
                     help="disjoint-support pairs for the extremality check")
     args = ap.parse_args()
+    for option in ("samples", "pairs"):
+        if getattr(args, option) < 1:
+            ap.error(f"--{option} must be at least 1: a sweep over none checks nothing")
 
     manifest = read_json_file(corpus_dir() / "expectations.json")
     print(f"{'corpus file':34} {'d':>2} {'chars':>6} {'pairs':>6} {'time':>7}")

@@ -138,7 +138,7 @@ def cmd_boxplus(args, report: Report) -> None:
     report.add("boxplus certification", True, f"d={result.d}")
     report.add("thoma parameters", True, str(extract_thoma(result)))
     if args.out:
-        codecs.write_json_file(args.out, codecs.rmatrix_file_to_json(result.d, result.m, args.out))
+        codecs.write_json_file(args.out, codecs.rmatrix_file_to_json(result.d, result.sparse, args.out))
         report.add("written", True, args.out)
 
 
@@ -191,9 +191,11 @@ def _check_positive(option: str, value) -> None:
         raise SchemaError(option, f"must be a positive integer, got {value}")
 
 
-def _check_rmatrix_dim(path: str, d) -> None:
-    # R is d^2 x d^2, and no file holds one above io.MAX_MATRIX_DIM; refuse
-    # it before the couple and its dense view are built
+def _check_rmatrix_dim(path: str, args, params) -> None:
+    # R is d^2 x d^2 for d = --d, or else the params' minimal d (None when
+    # they are not admissible), and no file holds one above
+    # io.MAX_MATRIX_DIM; refuse it before R and the couple are built
+    d = args.d if args.d is not None else is_yb_admissible(params).minimal_d
     if d is not None and d * d > codecs.MAX_MATRIX_DIM:
         raise SchemaError(path, f"dimensions {d * d} x {d * d} exceed the limit "
                                 f"{codecs.MAX_MATRIX_DIM}")
@@ -201,14 +203,14 @@ def _check_rmatrix_dim(path: str, d) -> None:
 
 def cmd_build(args, report: Report) -> None:
     _check_positive("--d", args.d)
-    _check_rmatrix_dim(f"{args.out}.r", args.d)
     params = _load_params(args.file, report)
+    _check_rmatrix_dim(f"{args.out}.r", args, params)
     couple, layout = build_couple(params, args.d)
     blocks = ", ".join(f"({b.label},{b.eps},{b.index}):{b.dim_v}x{b.dim_w}"
                        for b in layout.blocks)
     report.add("couple built", True, f"d={couple.d}, blocks [{blocks}]")
     codecs.write_json_file(args.out, codecs.couple_file_to_json(
-        couple.group, couple.d, couple.w, couple.r.m, couple.pi, args.out))
+        couple.group, couple.d, couple.w, couple.r.sparse, couple.pi_rows, args.out))
     report.add("written", True, args.out)
 
 
@@ -243,8 +245,8 @@ def cmd_char(args, report: Report) -> None:
 def cmd_verify_theorem(args, report: Report) -> None:
     _check_positive("--samples", args.samples)
     _check_positive("--d", args.d)
-    _check_rmatrix_dim("--d", args.d)
     params = _load_params(args.file, report)
+    _check_rmatrix_dim("--d" if args.d is not None else args.file, args, params)
     rng = Lcg64(args.seed)
     sample = [rng.wreath_element(params.group, 1, 5) for _ in range(args.samples)]
     result = end_to_end_check(params, sample, args.d)

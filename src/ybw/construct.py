@@ -5,7 +5,8 @@ tensor product of a copy of the irrep space (dimension dim) and a
 multiplicity space of dimension d * a / dim.  The block R-matrix flips the
 irrep components with sign (-1)^epsilon and leaves the multiplicity
 components in place, one entry per sparse row; the full R is the box-sum
-over blocks, and pi(t) is irrep (x) identity on each block, row by row.
+over blocks, and pi(t) is irrep (x) identity on each block, row by row
+from the irrep's rows; no dense matrix is built.
 
 Built couples additionally satisfy the exchange identity
 R (pi(t) (x) 1) R = 1 (x) pi(t), checked exactly, which forces
@@ -118,8 +119,7 @@ def build_couple(p: HiraiParams, d: int | None = None) -> tuple[YangBaxterCouple
     for t in range(p.group.order):
         rows = []  # blocks are consecutive, so their rows come in order
         for b in layout.blocks:
-            for image_row in irreps[b.label].images[t].data:
-                entries = [(y, v) for y, v in enumerate(image_row) if not v.is_zero()]
+            for entries in irreps[b.label].rows[t].rows:
                 rows += [[(b.offset + y * b.dim_w + k, v) for y, v in entries] for k in range(b.dim_w)]
         pi_rows.append(SparseOperator(d, rows))
     couple = certify_couple(p.group, r, pi_rows, 1)
@@ -153,7 +153,7 @@ class EndToEndReport:
 
     @property
     def ok(self) -> bool:
-        return self.thoma_ok and not self.char_mismatches
+        return self.samples > 0 and self.thoma_ok and not self.char_mismatches
 
 
 def end_to_end_check(p: HiraiParams, sample, d: int | None = None) -> EndToEndReport:

@@ -207,7 +207,7 @@ class ExtremalityReport:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return self.pairs_checked > 0 and not self.failures
 
 
 def verify_extremality(c: YangBaxterCouple, sample_pairs) -> ExtremalityReport:
@@ -234,7 +234,7 @@ class PsdReport:
 
     @property
     def ok(self) -> bool:
-        return self.hermitian and self.min_eigenvalue >= -1e-9
+        return self.size > 0 and self.hermitian and self.min_eigenvalue >= -1e-9
 
 
 def gram_psd_check(c: YangBaxterCouple, elements) -> PsdReport:
@@ -251,6 +251,8 @@ def gram_psd_check(c: YangBaxterCouple, elements) -> PsdReport:
     inverses = [g.inverse() for g in elems]
     gram = [[character(c, inverses[j] * elems[i]) for j in range(k)] for i in range(k)]
     hermitian = all(gram[i][j] == gram[j][i].conj() for i in range(k) for j in range(k))
+    if not k:  # numpy has no eigenvalues of an empty matrix, and ok needs k > 0
+        return PsdReport(0, hermitian, 0.0)
     embedded = np.array([[gram[i][j].to_complex() for j in range(k)] for i in range(k)])
     eigs = np.linalg.eigvalsh((embedded + embedded.conj().T) / 2)
-    return PsdReport(k, hermitian, float(eigs.min()) if k else 0.0)
+    return PsdReport(k, hermitian, float(eigs.min()))

@@ -4,7 +4,9 @@ Groups are element-indexed with the identity at index 0.  The catalog
 covers the cyclic groups up to order 12, the Klein four-group, S3, D4 and
 the quaternion group, each with a complete list of irreducible
 representations whose matrices are monomial over a cyclotomic field, so
-every trace and unitarity check in the package is exact.
+every trace and unitarity check in the package is exact.  Each catalog
+irrep is defined in one way, by the images of at most two generating
+elements, and every other image is a product of those.
 
 Associativity is checked by Light's test, (x s) y = x (s y) for the
 generators s only: the b with (x b) y = x (b y) for all x, y include the
@@ -12,9 +14,11 @@ identity and, with b, every b s, hence every element.  Each generator is
 tested before the next is chosen, so each at least doubles the subgroup
 reached, and |S| <= log2 n even on a table that is not a group.
 
-Irreps are verified, never discovered: the three certificates are
-unitarity of every image, the homomorphism property, and squared-character
-norm exactly 1.  The homomorphism property is checked on the pairs G x S
+An irrep is kept as canonical sparse rows, one SparseOperator per
+element; the dense images are built on request.  Irreps are verified,
+never discovered: the three certificates, all on the rows, are unitarity
+of every image, the homomorphism property, and squared-character norm
+exactly 1.  The homomorphism property is checked on the pairs G x S
 for the small generating set S = FiniteGroup.generators, plus the pair
 (0, 0): with image(0) = 1, image(a s) = image(a) image(s) for every a and
 every generator s extends to every pair by induction on the length of the
@@ -24,11 +28,10 @@ second element as a positive word in S.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .cyclo import CycloScalar, zeta
+from .cyclo import CycloScalar, scalar, zeta
 from .errors import (
     IncompleteIrrepListError,
     NotAGroupError,
@@ -37,7 +40,8 @@ from .errors import (
     NotUnitaryError,
     UnknownCatalogNameError,
 )
-from .matrix import ExactMatrix
+from .matrix import ExactMatrix, SparseOperator, canonical_rows
+from .perms import FinitePermutation
 
 
 @dataclass(frozen=True)
@@ -151,23 +155,25 @@ def conjugacy_classes(g: FiniteGroup) -> tuple[ConjClass, ...]:
 
 @dataclass(frozen=True)
 class Irrep:
-    """A certified irreducible unitary representation."""
+    """A certified irreducible unitary representation: rows holds one
+    canonical SparseOperator per group element, and images is the dense
+    view."""
 
     label: str
     dim: int
-    images: tuple[ExactMatrix, ...]
+    rows: tuple[SparseOperator, ...]
+
+    @property
+    def images(self) -> tuple[ExactMatrix, ...]:
+        """The dense images, built from the rows on each call."""
+        return tuple(s.to_dense() for s in self.rows)
 
     def char(self, t: int) -> CycloScalar:
-        return self.images[t].trace()
+        return self.rows[t].trace()
 
     @property
     def conductor(self) -> int:
-        n = 1
-        for m in self.images:
-            for row in m.data:
-                for v in row:
-                    n = lcm(n, v.n)
-        return n
+        return lcm(1, *(v.n for s in self.rows for row in s.rows for _, v in row))
 
 
 def homomorphism_failure(group: FiniteGroup, images) -> tuple[int, int] | None:
@@ -185,39 +191,49 @@ def homomorphism_failure(group: FiniteGroup, images) -> tuple[int, int] | None:
 
 def verify_irrep(group: FiniteGroup, images, label: str = "user") -> Irrep:
     """Certify unitarity, homomorphism (homomorphism_failure) and
-    irreducibility; exact throughout."""
+    irreducibility; exact throughout.
+
+    Each image comes dense, read into rows once, or as rows, which must be
+    canonical (matrix.canonical_rows), and every check runs on the rows."""
     images = tuple(images)
     if len(images) != group.order:
         raise NotHomomorphismError(
             f"{label}: {len(images)} images supplied for a group of order {group.order}")
-    dim = images[0].rows
-    for t, m in enumerate(images):
-        if m.rows != dim or m.cols != dim:
+    shapes = [(m.rows, m.cols) if isinstance(m, ExactMatrix) else (len(m.rows), m.dim)
+              for m in images]
+    dim = shapes[0][0]
+    rows = []
+    for t, (m, shape) in enumerate(zip(images, shapes)):
+        if shape != (dim, dim):
             raise NotHomomorphismError(f"{label}: image of element {t} is not {dim}x{dim}")
-        if not (m.dagger() * m).is_identity():
+        s = canonical_rows(m, f"{label} image({t})")
+        if not (s.dagger() * s).is_identity():
             raise NotUnitaryError(f"{label}: image of element {t} is not unitary")
-    failure = homomorphism_failure(group, images)
+        rows.append(s)
+    failure = homomorphism_failure(group, rows)
     if failure is not None:
         a, b = failure
         raise NotHomomorphismError(f"{label}: image({a}) * image({b}) != image({a}*{b})")
     norm = CycloScalar.from_rational(0)
-    for m in images:
-        tr = m.trace()
-        norm = norm + tr.norm_sq()
+    for s in rows:
+        norm = norm + s.trace().norm_sq()
     norm = norm / group.order
     if not norm.is_one():
         raise NotIrreducibleError(f"{label}: squared character norm is {norm}, not 1")
-    return Irrep(label, dim, images)
+    return Irrep(label, dim, tuple(rows))
 
 
-def _images_from_generators(group: FiniteGroup, gens: dict[int, ExactMatrix],
-                            dim: int) -> list[ExactMatrix]:
-    images: dict[int, ExactMatrix] = {0: ExactMatrix.identity(dim)}
+def _images_from_generators(group: FiniteGroup, gens: dict[int, list]) -> list[SparseOperator]:
+    """Every element's image, as a product of the images of the given
+    generating elements, each given by its one (column, value) entry per
+    row.  With no generator, as in the trivial group, the image is 1."""
+    ops = {g: SparseOperator(len(e), [[(j, scalar(v))] for j, v in e]) for g, e in gens.items()}
+    images = {0: SparseOperator.identity(next((s.dim for s in ops.values()), 1))}
     frontier = [0]
     while frontier:
         fresh = []
         for x in frontier:
-            for g, mg in gens.items():
+            for g, mg in ops.items():
                 y = group.mul(x, g)
                 if y not in images:
                     images[y] = images[x] * mg
@@ -229,23 +245,9 @@ def _images_from_generators(group: FiniteGroup, gens: dict[int, ExactMatrix],
 
 
 def _perm_name(p: tuple[int, ...]) -> str:
-    seen: set[int] = set()
-    cycles = []
-    for start in range(len(p)):
-        if start in seen or p[start] == start:
-            seen.add(start)
-            continue
-        cyc = [start]
-        seen.add(start)
-        nxt = p[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen.add(nxt)
-            nxt = p[nxt]
-        cycles.append(cyc)
-    if not cycles:
-        return "e"
-    return "".join("(" + " ".join(str(i + 1) for i in c) + ")" for c in cycles)
+    """The cycle notation of a permutation of 0..n-1, 1-based, or e."""
+    perm = FinitePermutation.from_one_line([x + 1 for x in p])
+    return "e" if perm.is_identity() else repr(perm)
 
 
 def _cyclic(n: int) -> FiniteGroup:
@@ -330,75 +332,38 @@ def load_group(source) -> FiniteGroup:
     return FiniteGroup("custom", source)
 
 
-def _swap2() -> ExactMatrix:
-    return ExactMatrix.from_entries(2, 2, {(0, 1): 1, (1, 0): 1})
-
-
-def _one_dim(group: FiniteGroup, label: str, values) -> Irrep:
-    images = [ExactMatrix.diag([v]) for v in values]
-    return verify_irrep(group, images, label)
+def _generator_images(name: str) -> list[tuple[str, dict[int, list]]]:
+    """Each catalog irrep of the named group as (label, {generating
+    element: image}), an image given by its one (column, value) entry per
+    row."""
+    swap = [(1, 1), (0, 1)]
+    if name.startswith("z") and name[1:].isdigit():
+        n = int(name[1:])
+        return [("triv" if k == 0 else f"chi{k}", {1: [(0, zeta(n, k))]} if n > 1 else {})
+                for k in range(n)]
+    if name == "klein4":  # a, b
+        return [("triv" if a == b == 0 else f"chi{a}{b}", {1: [(0, (-1) ** a)], 2: [(0, (-1) ** b)]})
+                for a in (0, 1) for b in (0, 1)]
+    if name == "s3":  # (1 2 3), (1 2)
+        return [("triv", {3: [(0, 1)], 2: [(0, 1)]}), ("sgn", {3: [(0, 1)], 2: [(0, -1)]}),
+                ("std", {3: [(0, zeta(3, 1)), (1, zeta(3, 2))], 2: swap})]
+    if name == "d4":  # r, s
+        return [(label, {1: [(0, x)], 4: [(0, y)]}) for label, x, y in (
+            ("triv", 1, 1), ("sgn_s", 1, -1), ("sgn_r", -1, 1), ("sgn_rs", -1, -1))] + [
+            ("std2", {1: [(0, zeta(4, 1)), (1, zeta(4, 3))], 4: swap})]
+    if name == "q8":  # i, j
+        return [(label, {2: [(0, x)], 4: [(0, y)]}) for label, x, y in (
+            ("triv", 1, 1), ("chi_i", 1, -1), ("chi_j", -1, 1), ("chi_k", -1, -1))] + [
+            ("spin2", {2: [(0, zeta(4, 1)), (1, zeta(4, 3))], 4: [(1, -1), (0, 1)]})]
+    raise UnknownCatalogNameError(f"no catalog irreps for group {name!r}")
 
 
 def catalog_irreps(group: FiniteGroup) -> tuple[Irrep, ...]:
     """The complete verified irrep list of a catalog group."""
-    name = group.name
-    if name.startswith("z") and name[1:].isdigit():
-        n = int(name[1:])
-        irreps = []
-        for k in range(n):
-            vals = [zeta(n, j * k) for j in range(n)]
-            label = "triv" if k == 0 else f"chi{k}"
-            irreps.append(_one_dim(group, label, vals))
-    elif name == "klein4":
-        irreps = []
-        for a in range(2):
-            for b in range(2):
-                vals = [Fraction(-1) ** (a * (x % 2) + b * (x // 2)) for x in range(4)]
-                label = "triv" if (a, b) == (0, 0) else f"chi{a}{b}"
-                irreps.append(_one_dim(group, label, vals))
-    elif name == "s3":
-        signs = {0: 1, 1: -1, 2: -1, 3: 1, 4: 1, 5: -1}  # parity by element index
-        irreps = [
-            _one_dim(group, "triv", [1] * 6),
-            _one_dim(group, "sgn", [signs[i] for i in range(6)]),
-        ]
-        r, s = 3, 2  # (1 2 3) and (1 2)
-        gens = {
-            r: ExactMatrix.diag([zeta(3, 1), zeta(3, 2)]),
-            s: _swap2(),
-        }
-        irreps.append(verify_irrep(group, _images_from_generators(group, gens, 2), "std"))
-    elif name == "d4":
-        def one_dim_vals(xr, xs):
-            return [Fraction(xr) ** (t % 4) * Fraction(xs) ** (t // 4) for t in range(8)]
-
-        irreps = [
-            _one_dim(group, "triv", one_dim_vals(1, 1)),
-            _one_dim(group, "sgn_s", one_dim_vals(1, -1)),
-            _one_dim(group, "sgn_r", one_dim_vals(-1, 1)),
-            _one_dim(group, "sgn_rs", one_dim_vals(-1, -1)),
-        ]
-        gens = {1: ExactMatrix.diag([zeta(4, 1), zeta(4, 3)]), 4: _swap2()}
-        irreps.append(verify_irrep(group, _images_from_generators(group, gens, 2), "std2"))
-    elif name == "q8":
-        def sign_irrep(label, pos_axes):
-            vals = [1 if (x // 2) in pos_axes else -1 for x in range(8)]
-            return _one_dim(group, label, vals)
-
-        irreps = [
-            _one_dim(group, "triv", [1] * 8),
-            sign_irrep("chi_i", {0, 1}),
-            sign_irrep("chi_j", {0, 2}),
-            sign_irrep("chi_k", {0, 3}),
-        ]
-        i_mat = ExactMatrix.diag([zeta(4, 1), zeta(4, 3)])
-        j_mat = ExactMatrix.from_entries(2, 2, {(0, 1): -1, (1, 0): 1})
-        irreps.append(verify_irrep(
-            group, _images_from_generators(group, {2: i_mat, 4: j_mat}, 2), "spin2"))
-    else:
-        raise UnknownCatalogNameError(f"no catalog irreps for group {name!r}")
+    irreps = tuple(verify_irrep(group, _images_from_generators(group, gens), label)
+                   for label, gens in _generator_images(group.name))
     if sum(rep.dim ** 2 for rep in irreps) != group.order:
         raise IncompleteIrrepListError(
-            f"irrep list for {name} has dimension-square sum "
+            f"irrep list for {group.name} has dimension-square sum "
             f"{sum(rep.dim ** 2 for rep in irreps)}, expected {group.order}")
-    return tuple(irreps)
+    return irreps

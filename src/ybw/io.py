@@ -4,9 +4,11 @@ Rationals are serialized as strings "p/q" (or "p" for integers), never as
 floats, so files round-trip bit-exactly across languages.  A scalar is
 either such a string or {"N": conductor, "c": [coefficient strings]} with
 phi(N) power-basis coordinates and N <= MAX_CONDUCTOR.  Matrices list
-nonzero entries only and have at most MAX_MATRIX_DIM rows and columns,
-written as read; the lcm of the conductors in one R-matrix or couple file
-is at most MAX_CONDUCTOR too.
+nonzero entries only, in row order, and have at most MAX_MATRIX_DIM rows
+and columns, written as read; the lcm of the conductors in one R-matrix or
+couple file is at most MAX_CONDUCTOR too.  The writers encode sparse rows
+(R, pi and irreps as the package keeps them) or dense matrices, read into
+their nonzero rows first; the readers return dense matrices.
 Files carry a "format": 1 version field; it may be omitted on input.
 
 Decoding validates shapes and ranges and raises SchemaError with the JSON
@@ -27,7 +29,7 @@ from .cyclo import CycloScalar, totient
 from .errors import SchemaError
 from .groups import FiniteGroup, Irrep, catalog_irreps, load_group
 from .hirai import HiraiParams, validate_params
-from .matrix import ExactMatrix
+from .matrix import ExactMatrix, SparseOperator
 from .perms import FinitePermutation
 from .wreath import WreathElement
 
@@ -40,10 +42,12 @@ FORMAT_VERSION = 1
 # catalog, the corpus and the tests use N <= 12.
 MAX_CONDUCTOR = 1000
 
-# Largest dim_rows or dim_cols a matrix may declare.  Decoding allocates the
-# dense matrix before it reads an entry, so memory grows with the square of
-# the declared size; 1024 admits R-matrices up to d = 32 (about 8 MB of row
-# slots), while 10^5 x 10^5 would ask for about 80 GB.
+# Largest dim_rows or dim_cols a matrix may declare.  The writers encode rows,
+# so the dense allocation this bounds is now the decoder's alone:
+# matrix_from_json allocates the dense matrix before it reads an entry, so
+# memory grows with the square of the declared size; 1024 admits R-matrices
+# up to d = 32 (about 8 MB of row slots), while 10^5 x 10^5 would ask for
+# about 80 GB.
 MAX_MATRIX_DIM = 1024
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
@@ -111,20 +115,22 @@ def scalar_from_json(obj, path: str) -> CycloScalar:
     return CycloScalar.from_coeffs(n, values)
 
 
-def matrix_to_json(m: ExactMatrix, path: str = "matrix") -> dict:
-    """The entries of m; a matrix the reader would refuse raises SchemaError
-    at ``path``, so nothing is written that cannot be read back."""
-    if m.rows > MAX_MATRIX_DIM or m.cols > MAX_MATRIX_DIM:
-        raise SchemaError(path, f"dimensions {m.rows} x {m.cols} exceed the limit {MAX_MATRIX_DIM}")
+def matrix_to_json(m: ExactMatrix | SparseOperator, path: str = "matrix") -> dict:
+    """The entries of m, canonical rows or a dense matrix read into its
+    nonzero rows; a matrix the reader would refuse raises SchemaError at
+    ``path``, so nothing is written that cannot be read back."""
+    dense = isinstance(m, ExactMatrix)
+    n_rows, n_cols = (m.rows, m.cols) if dense else (m.dim, m.dim)
+    if n_rows > MAX_MATRIX_DIM or n_cols > MAX_MATRIX_DIM:
+        raise SchemaError(path, f"dimensions {n_rows} x {n_cols} exceed the limit {MAX_MATRIX_DIM}")
+    rows = [[(j, v) for j, v in enumerate(row) if not v.is_zero()] for row in m.data] if dense else m.rows
     conductor = 1
     entries = []
-    for i in range(m.rows):
-        for j in range(m.cols):
-            v = m.data[i][j]
-            if not v.is_zero():
-                conductor = lcm(conductor, v.n)
-                entries.append([i, j, scalar_to_json(v)])
-    return {"dim_rows": m.rows, "dim_cols": m.cols, "conductor": conductor, "entries": entries}
+    for i, row in enumerate(rows):
+        for j, v in row:
+            conductor = lcm(conductor, v.n)
+            entries.append([i, j, scalar_to_json(v)])
+    return {"dim_rows": n_rows, "dim_cols": n_cols, "conductor": conductor, "entries": entries}
 
 
 def matrix_from_json(obj, path: str, conductors: ConductorBound | None = None) -> ExactMatrix:
@@ -188,7 +194,7 @@ def irrep_to_json(rep: Irrep) -> dict:
         "label": rep.label,
         "dim": rep.dim,
         "conductor": rep.conductor,
-        "images": [matrix_to_json(m) for m in rep.images],
+        "images": [matrix_to_json(s) for s in rep.rows],
     }
 
 
@@ -219,11 +225,15 @@ def element_from_json(obj, group: FiniteGroup, path: str) -> WreathElement:
     if not isinstance(raw_colors, dict):
         raise SchemaError(f"{path}.colors", "expected an object of position -> color index")
     for key, value in raw_colors.items():
-        if not (key.isascii() and key.isdigit()) or int(key) < 1:
+        try:
+            pos = int(key) if key.isascii() and key.isdigit() else 0
+        except ValueError as exc:  # more digits than int() converts
+            raise SchemaError(f"{path}.colors", str(exc)) from None
+        if pos < 1:
             raise SchemaError(f"{path}.colors.{key}", "positions are positive integers")
         if not _is_int(value) or not (0 <= value < group.order):
             raise SchemaError(f"{path}.colors.{key}", f"color index {value!r} out of range")
-        colors[int(key)] = value
+        colors[pos] = value
     raw_cycles = obj.get("cycles", [])
     if not isinstance(raw_cycles, list):
         raise SchemaError(f"{path}.cycles", "expected a list of cycles")
@@ -279,7 +289,7 @@ def params_from_json(obj, path: str) -> HiraiParams:
     return validate_params(group, irreps, a_raw, mu_raw)
 
 
-def rmatrix_file_to_json(d: int, m: ExactMatrix, path: str = "rmatrix") -> dict:
+def rmatrix_file_to_json(d: int, m: ExactMatrix | SparseOperator, path: str = "rmatrix") -> dict:
     out = matrix_to_json(m, path)
     out["format"] = FORMAT_VERSION
     out["d"] = d
@@ -296,7 +306,7 @@ def rmatrix_file_from_json(obj, path: str) -> tuple[int, ExactMatrix]:
     return obj["d"], m
 
 
-def couple_file_to_json(group: FiniteGroup, d: int, w: int, r: ExactMatrix, pi,
+def couple_file_to_json(group: FiniteGroup, d: int, w: int, r: ExactMatrix | SparseOperator, pi,
                         path: str = "couple") -> dict:
     return {
         "format": FORMAT_VERSION,

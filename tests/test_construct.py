@@ -292,3 +292,10 @@ def test_every_catalog_group_builds_and_certifies(name):
     couple, layout = build_couple(p)
     assert couple.d == sum(b.size for b in layout.blocks)
     assert extract_thoma(couple.r) == thoma_restriction(p)
+
+
+def test_end_to_end_over_no_samples_is_not_ok():
+    p = params_for("z2", {("triv", 0): [Fraction(1, 2)], ("chi1", 0): [Fraction(1, 2)]})
+    report = end_to_end_check(p, [])
+    assert report.samples == 0 and report.thoma_ok and not report.char_mismatches
+    assert not report.ok

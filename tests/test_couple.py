@@ -707,3 +707,11 @@ def test_character_and_literal_trace_print_alike_across_conductors():
         assert value == literal and str(value) == str(literal), g
         mixed += value.n != literal.n
     assert mixed > 0
+
+
+def test_checks_over_nothing_are_not_ok(pm_couple):
+    # an empty sample checks nothing, so it must not read as a pass
+    report = verify_extremality(pm_couple, [])
+    assert report.pairs_checked == 0 and not report.failures and not report.ok
+    report = gram_psd_check(pm_couple, [])
+    assert report.size == 0 and report.hermitian and not report.ok

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from ybw.cyclo import CycloScalar, zeta
+from ybw.cyclo import ONE, CycloScalar, zeta
 from ybw.errors import (
+    DimensionMismatchError,
     NotAGroupError,
     NotHomomorphismError,
     NotIrreducibleError,
@@ -21,7 +22,7 @@ from ybw.groups import (
     load_group,
     verify_irrep,
 )
-from ybw.matrix import ExactMatrix
+from ybw.matrix import ExactMatrix, SparseOperator
 
 ALL_CATALOG = [n for n in CATALOG_NAMES]
 
@@ -317,3 +318,101 @@ def test_generators_are_sorted_and_generate(name):
     # the greedy choice passes over -1 (index 1) in q8
     if name == "q8":
         assert gens == (2, 4)
+
+
+def dense_images_from_generators(group, gens, dim):
+    images = {0: ExactMatrix.identity(dim)}
+    frontier = [0]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g, mg in gens.items():
+                y = group.mul(x, g)
+                if y not in images:
+                    images[y] = images[x] * mg
+                    fresh.append(y)
+        frontier = fresh
+    return [images[i] for i in range(group.order)]
+
+
+def explicit_catalog_images(group):
+    """The dense construction catalog_irreps made before it read every
+    irrep off generator images, kept as its oracle: value lists for the
+    one-dimensional irreps, sign helpers, and generator images for the
+    rest.  A list of (label, dense images)."""
+    def one_dim(label, values):
+        return label, [ExactMatrix.diag([v]) for v in values]
+
+    swap2 = ExactMatrix.from_entries(2, 2, {(0, 1): 1, (1, 0): 1})
+    name = group.name
+    if name.startswith("z"):
+        n = int(name[1:])
+        return [one_dim("triv" if k == 0 else f"chi{k}", [zeta(n, j * k) for j in range(n)])
+                for k in range(n)]
+    if name == "klein4":
+        return [one_dim("triv" if (a, b) == (0, 0) else f"chi{a}{b}",
+                        [Fraction(-1) ** (a * (x % 2) + b * (x // 2)) for x in range(4)])
+                for a in range(2) for b in range(2)]
+    if name == "s3":
+        signs = {0: 1, 1: -1, 2: -1, 3: 1, 4: 1, 5: -1}
+        gens = {3: ExactMatrix.diag([zeta(3, 1), zeta(3, 2)]), 2: swap2}
+        return [one_dim("triv", [1] * 6), one_dim("sgn", [signs[i] for i in range(6)]),
+                ("std", dense_images_from_generators(group, gens, 2))]
+    if name == "d4":
+        def vals(xr, xs):
+            return [Fraction(xr) ** (t % 4) * Fraction(xs) ** (t // 4) for t in range(8)]
+
+        gens = {1: ExactMatrix.diag([zeta(4, 1), zeta(4, 3)]), 4: swap2}
+        return [one_dim("triv", vals(1, 1)), one_dim("sgn_s", vals(1, -1)),
+                one_dim("sgn_r", vals(-1, 1)), one_dim("sgn_rs", vals(-1, -1)),
+                ("std2", dense_images_from_generators(group, gens, 2))]
+    assert name == "q8"
+
+    def sign_irrep(label, pos_axes):
+        return one_dim(label, [1 if (x // 2) in pos_axes else -1 for x in range(8)])
+
+    gens = {2: ExactMatrix.diag([zeta(4, 1), zeta(4, 3)]),
+            4: ExactMatrix.from_entries(2, 2, {(0, 1): -1, (1, 0): 1})}
+    return [one_dim("triv", [1] * 8), sign_irrep("chi_i", {0, 1}), sign_irrep("chi_j", {0, 2}),
+            sign_irrep("chi_k", {0, 3}), ("spin2", dense_images_from_generators(group, gens, 2))]
+
+
+@pytest.mark.parametrize("name", ALL_CATALOG)
+def test_catalog_images_equal_the_explicit_construction(name):
+    # every image read off the generator table equals the explicit one,
+    # entry by entry down to each scalar's stored conductor and numerators
+    group = load_group(name)
+    irreps = catalog_irreps(group)
+    oracle = explicit_catalog_images(group)
+    assert [rep.label for rep in irreps] == [label for label, _ in oracle]
+    for rep, (label, images) in zip(irreps, oracle):
+        assert rep.dim == images[0].rows and len(rep.rows) == group.order
+        for t, (s, m) in enumerate(zip(rep.rows, images)):
+            dense = {(i, j): v for i, row in enumerate(m.data) for j, v in enumerate(row)
+                     if not v.is_zero()}
+            sparse = {(i, j): v for i, row in enumerate(s.rows) for j, v in row}
+            assert sparse.keys() == dense.keys(), (name, label, t)
+            for key, v in sparse.items():
+                w = dense[key]
+                assert (v.n, v.nums, v.den) == (w.n, w.nums, w.den), (name, label, t, key)
+        assert rep.images == tuple(images)
+
+
+def test_verify_irrep_reads_dense_images_and_rows_alike():
+    # the same Irrep from dense images and from rows; rows must be
+    # canonical, and a misshapen image keeps its error class and message
+    s3 = load_group("s3")
+    std = next(rep for rep in catalog_irreps(s3) if rep.label == "std")
+    assert verify_irrep(s3, std.images, "a").rows == verify_irrep(s3, std.rows, "b").rows == std.rows
+    unsorted = list(std.rows)
+    unsorted[2] = SparseOperator(2, [[(1, ONE), (0, ONE)], [(0, ONE)]])
+    with pytest.raises(DimensionMismatchError, match=r"^row 0 of std image\(2\) has column 0 "):
+        verify_irrep(s3, unsorted, "std")
+    for wide in (ExactMatrix.zeros(2, 3), SparseOperator(3, [[(0, ONE)]] * 3)):
+        with pytest.raises(NotHomomorphismError, match=r"^std: image of element 4 is not 2x2$"):
+            verify_irrep(s3, list(std.rows[:4]) + [wide] + list(std.rows[5:]), "std")
+
+
+def test_s3_element_names_are_cycle_notation():
+    # read off perms.FinitePermutation, as ybw catalog prints them
+    assert load_group("s3").element_names == ("e", "(2 3)", "(1 2)", "(1 2 3)", "(1 3 2)", "(1 3)")

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import CORPUS_PARAM_FILES
 from ybw import io as codecs
 from ybw.cli import corpus_dir, main
+from ybw.construct import build_couple
 from ybw.cyclo import CycloScalar, totient, zeta
 from ybw.errors import SchemaError
-from ybw.groups import catalog_irreps, load_group
-from ybw.matrix import ExactMatrix, flip_operator
+from ybw.groups import CATALOG_NAMES, catalog_irreps, load_group
+from ybw.matrix import ExactMatrix, SparseOperator, flip_operator
 from ybw.perms import FinitePermutation
 from ybw.rmatrix import boxplus, verify_rmatrix
 from ybw.rng import Lcg64
@@ -482,3 +484,84 @@ def test_cli_catalog(capsys):
     code, out, _ = run_cli(capsys, "catalog")
     assert code == 0
     assert "s3" in out and "q8" in out and "std" in out
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Counts of ExactMatrix constructions and products and of
+    SparseOperator.to_dense calls, by patching the classes."""
+    counts = {"construct": 0, "multiply": 0, "to_dense": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ExactMatrix, "__init__", counted("construct", ExactMatrix.__init__))
+    monkeypatch.setattr(ExactMatrix, "__mul__", counted("multiply", ExactMatrix.__mul__))
+    monkeypatch.setattr(SparseOperator, "to_dense", counted("to_dense", SparseOperator.to_dense))
+    SparseOperator.identity(2).to_dense() * ExactMatrix.identity(2)  # the patches are live
+    assert counts == {"construct": 3, "multiply": 1, "to_dense": 1}
+    counts.update(construct=0, multiply=0, to_dense=0)
+    return counts
+
+
+def test_no_dense_matrix_between_a_params_file_and_a_couple_file(tmp_path, capsys, dense_calls):
+    for name in CATALOG_NAMES:
+        catalog_irreps(load_group(name))
+    for name in CORPUS_PARAM_FILES:
+        path = str(corpus_dir() / name)
+        build_couple(codecs.params_from_json(codecs.read_json_file(path), name))
+        for extra in ([], ["--d", "12"]):
+            out_file = tmp_path / f"{name}.{len(extra)}.json"
+            assert run_cli(capsys, "build", path, "--out", str(out_file), *extra)[0] == 0
+        assert run_cli(capsys, "params", "check", path)[0] == 0
+    assert run_cli(capsys, "catalog")[0] == 0
+    assert dense_calls == {"construct": 0, "multiply": 0, "to_dense": 0}
+
+
+def test_couple_writer_reads_rows_as_it_reads_the_dense_views(corpus_params):
+    for name, p in corpus_params.items():
+        for d in (None, 12):
+            c, _ = build_couple(p, d)
+            rows = codecs.couple_file_to_json(c.group, c.d, c.w, c.r.sparse, c.pi_rows, "c")
+            assert codecs.dumps(rows) == codecs.dumps(
+                codecs.couple_file_to_json(c.group, c.d, c.w, c.r.m, c.pi, "c")), (name, d)
+
+
+@pytest.mark.parametrize("command", ["element", "hirai-char", "char"])
+def test_cli_refuses_a_position_key_with_more_digits_than_int_converts(tmp_path, capsys, command):
+    # int() of a 5,000-digit key raised an uncaught ValueError: a traceback
+    # and exit 1
+    params = str(corpus_dir() / "z2_half_half.params.json")
+    elt = tmp_path / "elt.json"
+    elt.write_text(json.dumps({"colors": {"9" * 5000: 1}, "cycles": []}))
+    if command == "element":
+        argv = ["element", "--group", "z2", "--json", str(elt)]
+    elif command == "hirai-char":
+        argv = ["hirai-char", params, "--element", str(elt)]
+    else:
+        couple = tmp_path / "couple.json"
+        assert run_cli(capsys, "build", params, "--out", str(couple))[0] == 0
+        argv = ["char", str(couple), "--element", str(elt)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: malformed input: {elt}.colors: Exceeds the limit ")
+
+
+@pytest.mark.parametrize("command", ["build", "verify-theorem"])
+def test_cli_refuses_params_whose_minimal_rmatrix_exceeds_the_matrix_limit(tmp_path, capsys, command):
+    # the cap applied to an explicit --d only, so a params file of minimal
+    # d = 1000 built and certified R before anything refused it
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"group": "z1", "a": {"triv": {"0": ["1/1000"] * 1000}}}))
+    out_file = tmp_path / "c.json"
+    extra = ["--out", str(out_file)] if command == "build" else []
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, str(params), *extra)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and not out_file.exists()
+    path = f"{out_file}.r" if command == "build" else str(params)
+    assert err == (f"error: malformed input: {path}: dimensions 1000000 x 1000000 "
+                   f"exceed the limit {codecs.MAX_MATRIX_DIM}\n")

@@ -23,3 +23,14 @@ def test_script_runs_to_its_closing_line(argv, last_line):
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert re.fullmatch(last_line, done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("option", ["--samples", "--pairs"])
+def test_theorem_sweep_refuses_an_empty_sweep(option):
+    # --samples 0 --pairs 0 printed "all corpus sets verified exactly"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "theorem_sweep.py"), option, "0"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.splitlines()[-1].endswith(
+        f"error: {option} must be at least 1: a sweep over none checks nothing")
