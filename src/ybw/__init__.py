@@ -6,7 +6,7 @@ fields: R-matrix laws, couple laws, character identities.
 """
 
 from .cyclo import CycloScalar, Rational, cyclotomic_polynomial, zeta
-from .matrix import ExactMatrix, SparseOperator, TensorIndex, amplify, flip_operator, kron, matmul
+from .matrix import ExactMatrix, SparseOperator, TensorIndex, amplify, flip_operator, kron
 from .perms import FinitePermutation
 from .rmatrix import (
     RMatrix,
@@ -19,14 +19,13 @@ from .rmatrix import (
     verify_rmatrix,
     yb_rep_perm,
 )
-from .groups import ConjClass, FiniteGroup, Irrep, catalog_irreps, conjugacy_classes, load_group, verify_irrep
+from .groups import ConjClass, FiniteGroup, Irrep, catalog_irreps, load_group, verify_irrep
 from .wreath import (
     ConjInvariant,
     StandardDecomposition,
     WreathElement,
     conjugacy_invariant,
     cycle_product_class,
-    is_conjugate,
     standard_decomposition,
 )
 from .couple import (

@@ -93,8 +93,7 @@ def corpus_dir() -> Path:
 
 def _load_rmatrix(path, report: Report):
     report.note_input(path)
-    d, m = codecs.rmatrix_file_from_json(codecs.read_json_file(path), str(path))
-    return d, m
+    return codecs.rmatrix_file_from_json(codecs.read_json_file(path), str(path))
 
 
 def cmd_catalog(args, report: Report) -> None:
@@ -146,7 +145,9 @@ def cmd_element(args, report: Report) -> None:
     group = load_group(args.group)
     report.note_input(args.json)
     g = codecs.element_from_json(codecs.read_json_file(args.json), group, args.json)
-    if args.decompose:
+    # with neither view asked for, report both rather than pass on nothing
+    both = not (args.decompose or args.invariant)
+    if args.decompose or both:
         dec = standard_decomposition(g)
         for pos, t in dec.elementary:
             report.add("elementary", True, f"position {pos}, color {group.element_names[t]}")
@@ -156,7 +157,7 @@ def cmd_element(args, report: Report) -> None:
                        f"cycle {part.cycle}, length {part.length}, colors [{colors}]")
         ok = dec.recompose() == g
         report.add("recomposition", ok, "product of parts equals the element")
-    if args.invariant:
+    if args.invariant or both:
         inv = conjugacy_invariant(g)
         elem = ", ".join(group.element_names[c] for c in inv.elem_classes)
         cyc = ", ".join(f"([{group.element_names[c]}], {l})" for c, l in inv.cycle_data)
@@ -216,10 +217,8 @@ def cmd_build(args, report: Report) -> None:
 
 def _load_couple(path, report: Report):
     report.note_input(path)
-    group, d, w, r_dense, pi = codecs.couple_file_from_json(
-        codecs.read_json_file(path), str(path))
-    r = verify_rmatrix(r_dense, d)
-    return certify_couple(group, r, pi, w)
+    group, d, w, r, pi = codecs.couple_file_from_json(codecs.read_json_file(path), str(path))
+    return certify_couple(group, verify_rmatrix(r, d), pi, w)
 
 
 def cmd_check_couple(args, report: Report) -> None:

@@ -149,10 +149,6 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-def conjugacy_classes(g: FiniteGroup) -> tuple[ConjClass, ...]:
-    return g.classes
-
-
 @dataclass(frozen=True)
 class Irrep:
     """A certified irreducible unitary representation: rows holds one

@@ -262,14 +262,6 @@ def canonical_rows(m: ExactMatrix | SparseOperator, name: str) -> SparseOperator
     return s
 
 
-def matmul(a, b):
-    """Exact product of two dense matrices or two sparse operators."""
-    out = a * b
-    if out is NotImplemented:
-        raise TypeError("matmul needs two ExactMatrix or two SparseOperator operands")
-    return out
-
-
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return a.kron(b)
 

@@ -66,10 +66,6 @@ class ThomaParams:
     def deficit(self) -> Fraction:
         return 1 - sum(self.alpha, Fraction(0)) - sum(self.beta, Fraction(0))
 
-    def is_yb_type(self) -> bool:
-        """Full mass on finitely many rational weights, so some d clears denominators."""
-        return self.deficit == 0
-
     def minimal_denominator(self) -> int:
         return lcm(1, *(v.denominator for v in self.alpha + self.beta))
 
@@ -198,12 +194,6 @@ def yb_rep_perm(r: RMatrix, sigma: FinitePermutation, n: int) -> SparseOperator:
     return gate_product((r.d,) * n, [(r.sparse, i - 1, i + 1) for i in adjacent_word(sigma, n)])
 
 
-def cycle_trace(r: RMatrix, n: int) -> CycloScalar:
-    """Trace of R_1 R_2 ... R_(n-1) on V^(x n); see cycle_trace_sequence."""
-    traces = cycle_trace_sequence(r, n)
-    return traces[n - 2]
-
-
 def cycle_trace_sequence(r: RMatrix, n_max: int) -> list[CycloScalar]:
     """Traces of the cycle operators for n = 2 .. n_max (index n-2).
 
@@ -247,7 +237,7 @@ def char_cycle(r: RMatrix, n: int) -> Fraction:
         raise ValueError("cycle length must be >= 1")
     if n == 1:
         return Fraction(1)
-    tr = cycle_trace(r, n)
+    tr = cycle_trace_sequence(r, n)[n - 2]
     if not tr.is_rational():
         raise NoMatchError(f"cycle trace {tr} is not rational; R is not a valid R-matrix")
     return tr.as_rational() / Fraction(r.d) ** n

@@ -187,7 +187,3 @@ def conjugacy_invariant(g: WreathElement) -> ConjInvariant:
         (cycle_product_class(g.group, part).representative, part.length)
         for part in dec.cyclic))
     return ConjInvariant(elem, cyc)
-
-
-def is_conjugate(a: WreathElement, b: WreathElement) -> bool:
-    return conjugacy_invariant(a) == conjugacy_invariant(b)

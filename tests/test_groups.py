@@ -18,7 +18,6 @@ from ybw.errors import (
 from ybw.groups import (
     CATALOG_NAMES,
     catalog_irreps,
-    conjugacy_classes,
     load_group,
     verify_irrep,
 )
@@ -141,9 +140,9 @@ def test_user_table_accepted():
 def test_conjugacy_classes_examples():
     assert len(load_group("trivial").classes) == 1
     s3 = load_group("s3")
-    assert sorted(len(c.members) for c in conjugacy_classes(s3)) == [1, 2, 3]
+    assert sorted(len(c.members) for c in s3.classes) == [1, 2, 3]
     q8 = load_group("q8")
-    classes = conjugacy_classes(q8)
+    classes = q8.classes
     assert [len(c.members) for c in classes] == [1, 1, 2, 2, 2]
     names = [tuple(q8.element_names[m] for m in c.members) for c in classes]
     assert names == [("1",), ("-1",), ("i", "-i"), ("j", "-j"), ("k", "-k")]

@@ -95,3 +95,52 @@ def test_no_unused_imports_in_the_package():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         offenders += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
     assert not offenders, f"unused imports in src/ybw: {', '.join(sorted(offenders))}"
+
+
+# Public names that nothing in src/ybw, scripts/ or bench/ reads, each kept
+# for the reason given; any other unread public name is dead code.
+UNREAD_PUBLIC_NAMES = {
+    "TensorIndex": "dense test world; leaves the package with ExactMatrix (ROADMAP item 6)",
+    "ExactMatrix.diag": "dense test world; leaves the package with ExactMatrix (ROADMAP item 6)",
+    "ExactMatrix.from_entries": "dense test world; leaves the package with ExactMatrix (ROADMAP item 6)",
+    "flip_operator": "dense test world; leaves the package with ExactMatrix (ROADMAP item 6)",
+    "merge_thoma": "test oracle of the box-sum merge law (acceptance criterion 3)",
+    "ThomaParams.power_sum": "test oracle of the Thoma formula (acceptance criterion 1)",
+    "block_thoma": "test oracle of the Thoma parameters of one construction block",
+    "gram_psd_check": "float positivity probe of acceptance criterion 10, made exact by ROADMAP item 7",
+    "FinitePermutation.transposition": "test fixture",
+}
+
+
+def test_every_public_name_is_read_at_runtime():
+    # a public function, class or method that only tests call is a codec or
+    # wrapper nothing runs; names are matched by identifier, not by owner
+    root = Path(__file__).resolve().parent.parent
+    package = root / "src" / "ybw"
+    read = set()
+    for path in [*package.glob("*.py"), *(root / "scripts").glob("*.py"), *(root / "bench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Assign) and path.name == "tracer.py" and any(
+                    getattr(t, "id", None) == "SPAN_TARGETS" for t in node.targets):
+                # the tracer rebinds these by their dotted names
+                read.update(part for c in ast.walk(node.value)
+                            if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                            for part in c.value.split("."))
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            unread += [node.name] if node.name not in read else []
+            if isinstance(node, ast.ClassDef):
+                unread += [f"{node.name}.{item.name}" for item in node.body
+                           if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                           and item.name not in read]
+    dead = sorted(set(unread) - set(UNREAD_PUBLIC_NAMES))
+    assert not dead, f"public names no runtime code reads: {', '.join(dead)}"
+    stale = sorted(set(UNREAD_PUBLIC_NAMES) - set(unread))
+    assert not stale, f"allow-listed names that runtime code now reads: {', '.join(stale)}"

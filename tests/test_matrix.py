@@ -16,7 +16,6 @@ from ybw.matrix import (
     gate_product,
     gate_trace,
     kron,
-    matmul,
 )
 from ybw.rng import Lcg64
 
@@ -65,7 +64,6 @@ def test_identity_matmul():
     rng = Lcg64(3)
     m = random_matrix(rng, 4, 4, conductor=4)
     assert ExactMatrix.identity(4) * m == m
-    assert matmul(ExactMatrix.identity(4), m) == m
 
 
 def test_flip_examples():
@@ -279,7 +277,7 @@ def test_amplify_dimension_check():
 
 def test_matmul_type_dispatch():
     with pytest.raises(TypeError):
-        matmul(ExactMatrix.identity(2), SparseOperator.identity(2))
+        ExactMatrix.identity(2) * SparseOperator.identity(2)
 
 
 def test_first_differing_row_keeps_words_over_different_conductors_on_the_engine(monkeypatch):
