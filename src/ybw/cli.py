@@ -18,13 +18,20 @@ from pathlib import Path
 
 from . import io as codecs
 from .construct import build_couple, end_to_end_check
-from .couple import certify_couple, character
+from .couple import MAX_OPERATOR_DIM, certify_couple, character
 from .errors import SchemaError, YbwError
 from .groups import CATALOG_NAMES, catalog_irreps, load_group
 from .hirai import closed_form_character, is_yb_admissible, thoma_restriction
 from .rmatrix import boxplus, extract_thoma, verify_rmatrix
 from .rng import Lcg64
 from .wreath import conjugacy_invariant, standard_decomposition
+
+
+# The most decimal digits a printed value's numerator or denominator may
+# have.  Python refuses to print an int of more than 4300 digits
+# (sys.get_int_max_str_digits()), and the margin covers the subfield basis
+# CycloScalar.__str__ prints in.  A 20,000-cycle asks for about 6,000.
+MAX_VALUE_DIGITS = 4000
 
 
 @dataclass
@@ -178,11 +185,19 @@ def cmd_params_check(args, report: Report) -> None:
     report.add("thoma restriction", True, str(thoma_restriction(params)))
 
 
+def _printable(value, path: str):
+    """value, once its numerator and denominator are known to print."""
+    if max(value.den, *map(abs, value.nums)) >= 10 ** MAX_VALUE_DIGITS:
+        raise SchemaError(path, f"the value has a numerator or denominator of more than "
+                                f"{MAX_VALUE_DIGITS} digits, the limit MAX_VALUE_DIGITS")
+    return value
+
+
 def cmd_hirai_char(args, report: Report) -> None:
     params = _load_params(args.file, report)
     report.note_input(args.element)
     g = codecs.element_from_json(codecs.read_json_file(args.element), params.group, args.element)
-    value = closed_form_character(params, g)
+    value = _printable(closed_form_character(params, g), args.element)
     report.add("hirai character", True, f"{value} = {value.to_complex():.6g}")
 
 
@@ -192,7 +207,7 @@ def _check_positive(option: str, value) -> None:
         raise SchemaError(option, f"must be a positive integer, got {value}")
 
 
-def _check_rmatrix_dim(path: str, args, params) -> None:
+def _check_rmatrix_dim(path: str, args, params) -> int | None:
     # R is d^2 x d^2 for d = --d, or else the params' minimal d (None when
     # they are not admissible), and no file holds one above
     # io.MAX_MATRIX_DIM; refuse it before R and the couple are built
@@ -200,6 +215,7 @@ def _check_rmatrix_dim(path: str, args, params) -> None:
     if d is not None and d * d > codecs.MAX_MATRIX_DIM:
         raise SchemaError(path, f"dimensions {d * d} x {d * d} exceed the limit "
                                 f"{codecs.MAX_MATRIX_DIM}")
+    return d
 
 
 def cmd_build(args, report: Report) -> None:
@@ -237,7 +253,7 @@ def cmd_char(args, report: Report) -> None:
     couple = _load_couple(args.file, report)
     report.note_input(args.element)
     g = codecs.element_from_json(codecs.read_json_file(args.element), couple.group, args.element)
-    value = character(couple, g)
+    value = _printable(character(couple, g), args.element)
     report.add("character", True, f"{value} = {value.to_complex():.6g}")
 
 
@@ -245,16 +261,23 @@ def cmd_verify_theorem(args, report: Report) -> None:
     _check_positive("--samples", args.samples)
     _check_positive("--d", args.d)
     params = _load_params(args.file, report)
-    _check_rmatrix_dim("--d" if args.d is not None else args.file, args, params)
+    d = _check_rmatrix_dim("--d" if args.d is not None else args.file, args, params)
+    # an element over positions 1..m has at most m colored cycles, so the
+    # built couple (w = 1) traces it on at most d^m dimensions
+    m = max(j for j in range(1, 6) if (d or 1) ** j <= MAX_OPERATOR_DIM)
     rng = Lcg64(args.seed)
-    sample = [rng.wreath_element(params.group, 1, 5) for _ in range(args.samples)]
+    sample = [rng.wreath_element(params.group, 1, m) for _ in range(args.samples)]
     result = end_to_end_check(params, sample, args.d)
     report.add("thoma restriction matches extracted parameters", result.thoma_ok,
                f"built {result.thoma_built}, expected {result.thoma_expected}")
     witness = ""
     if result.char_mismatches:
         g, lhs, rhs = result.char_mismatches[0]
-        witness = f"first mismatch at {g!r}: trace {lhs}, closed form {rhs}"
+        witness = (f"first mismatch at {g!r}: trace {_printable(lhs, args.file)}, "
+                   f"closed form {_printable(rhs, args.file)}")
+    elif m < 5:
+        witness = (f"{result.samples} sampled elements over positions 1..{m} agree exactly "
+                   f"(d^{m + 1} is above MAX_OPERATOR_DIM)")
     report.add("trace character equals closed form", not result.char_mismatches,
                witness or f"{result.samples} sampled elements agree exactly")
 

@@ -12,7 +12,7 @@ extremal character evaluated here exactly.
 Like R, pi is kept as its certified sparse rows (pi_rows), read once from
 dense images, and the dense images (pi) are built on request.  The image
 of a wreath element is one word of local gates, pi(t) on W (x) V_1 and R
-on adjacent V-slots; no operator is kept between calls.  Certification
+on adjacent V-slots.  Certification
 checks the equation above as X_t pi(t') = pi(t') X_t, where
 X_t = R1 pi(t) R1 is a gate word, for t and t' in the generating set
 FiniteGroup.generators only: R1^2 = 1 makes t -> X_t a homomorphism like
@@ -22,12 +22,19 @@ Character values do not depend on the truncation level, because the
 operators act as the identity on appended factors, nor on the element
 within its conjugacy class.  So a character is read at the element's
 compact form (wreath.compact_form: the conjugate written on positions
-1..|support| from its cycles, one color per cycle), at level
-n = max(|support|, 1), by matrix.gate_trace.  That runs on the
-phase-permutation engine when every gate has one root-of-unity entry per
-row, as on the builder's couples, and on packed integers of the group
-ring Z[C_m] otherwise, as on conjugated couples.  rep_element and
-certification multiply words out on CycloScalar rows with
+1..|support| from its cycles, one color per cycle), and each cycle is
+reduced by the partial trace T = Tr_2(R) (character, with the proof):
+an uncolored cycle of length L becomes the scalar tr(T^(L-1)), and a
+colored one becomes a single site carrying M(t, L) = pi(t) (1_W (x)
+T^(L-1)) in place of pi(t).  The reduced word lives on W (x) V^(x k), k
+the number of colored cycles, whatever the support, and is traced by
+matrix.gate_trace.  That runs on the phase-permutation engine when every
+gate has one entry per row, a root of unity times a positive integer, as
+on the builder's couples (T is an integer diagonal there), and on packed
+integers of the group ring Z[C_m] otherwise, as on conjugated couples.
+The sites M(t, L) and the engine's monomial forms and plans are kept on
+the couple, filled on first use, never by certify_couple.  rep_element
+and certification multiply words out on CycloScalar rows with
 matrix.gate_product, and rep_element stays the literal image at any level
 n >= max(support), the oracle of character.
 """
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclo import CycloScalar
+from .cyclo import ONE, CycloScalar
 from .errors import (
     DimensionMismatchError,
     ExtendedREFailsError,
@@ -50,23 +57,26 @@ from .errors import (
 from .groups import FiniteGroup, homomorphism_failure
 from .matrix import ExactMatrix, SparseOperator, amplify, canonical_rows, gate_product, gate_trace
 from .perms import adjacent_word
-from .rmatrix import RMatrix
+from .rmatrix import RMatrix, t_power
 from .wreath import WreathElement, compact_form
 
-# The largest dimension w * d^n of an image rep_element builds or character
-# traces (at level |supp| there).  An image holds one row list per basis
-# vector, and every gate of the word passes over all of them: at the limit
-# (d = 4, level 8) an element colored at every position takes about 14 s
-# and 49 MB in rep_element, and 0.1 s and 5 MB in character on a monomial
-# couple.  On the s3 d = 4 couple conjugated by the benchmark's block
-# unitary, where every pi gate of that word fills its rows, character takes
-# about 7 s and 440 MB on the packed group ring (39 s and 660 MB on
-# CycloScalar rows).  Tier-1, the scripts and the benchmark workloads stay
-# at or below 4096 (d = 4 at level 6).
+# The largest dimension of a word's space: w * d^n for the literal image
+# rep_element builds at level n, and w * d^k for the reduced word character
+# traces, k the number of colored cycles (fixed colored points included),
+# whatever the support.  An image holds one row list per basis vector, and
+# every gate of the word passes over all of them: at the limit (d = 4,
+# level 8) an element colored at every position takes about 14 s and 49 MB
+# in rep_element, and 0.1 s and 5 MB in character on a monomial couple,
+# where its reduced word is its literal word (k = n = 8).  On the s3 d = 4
+# couple conjugated by the benchmark's block unitary, where every pi gate
+# of that word fills its rows, character takes about 7 s and 440 MB on the
+# packed group ring (39 s and 660 MB on CycloScalar rows).  Tier-1, the
+# scripts and the benchmark workloads stay at or below 4096 (d = 4, k = 6).
 MAX_OPERATOR_DIM = 1 << 16
-# The largest level of an image, the one d = 2 reaches at MAX_OPERATOR_DIM.
-# It bounds d = 1 images, whose dimension w never grows while the word does:
-# n^2 R gates of color staircases and an adjacent-transposition word.
+# The largest level, the one d = 2 reaches at MAX_OPERATOR_DIM: n for
+# rep_element and k for character.  It bounds d = 1 words, whose dimension
+# w never grows while the word does: k^2 R gates of color staircases, and
+# in rep_element an adjacent-transposition word as well.
 MAX_LEVEL = MAX_OPERATOR_DIM.bit_length() - 1
 
 
@@ -74,7 +84,7 @@ class YangBaxterCouple:
     """A certified (pi, R) pair over a finite group: pi_rows holds one
     canonical SparseOperator per group element, and pi is the dense view."""
 
-    __slots__ = ("group", "r", "pi_rows", "w")
+    __slots__ = ("group", "r", "pi_rows", "w", "_site_gates", "_trace_memo")
 
     def __init__(self, group: FiniteGroup, r: RMatrix, pi_rows: tuple[SparseOperator, ...],
                  w: int, _certified: bool = False):
@@ -84,6 +94,8 @@ class YangBaxterCouple:
         self.r = r
         self.pi_rows = pi_rows
         self.w = w
+        self._site_gates: dict[tuple[int, int], SparseOperator] = {}  # see _site_gate
+        self._trace_memo: dict = {}  # matrix.gate_trace's, for character
 
     @property
     def pi(self) -> tuple[ExactMatrix, ...]:
@@ -158,16 +170,18 @@ def rep_element(c: YangBaxterCouple, g: WreathElement, n: int) -> SparseOperator
     An image of dimension w * d^n above MAX_OPERATOR_DIM, or of a level n
     above MAX_LEVEL, raises OperatorTooLargeError before its word is built.
     """
-    word = _image_word(c, g, n)
-    return gate_product(c.layout(n), word)
-
-
-def _image_word(c: YangBaxterCouple, g: WreathElement, n: int) -> list:
-    """The gate word of rep_element, after its checks."""
     if c.group != g.group:
         raise GroupMismatchError("element is over a different group than the couple")
     if g.max_support() > n:
         raise SupportExceedsLevelError(f"support reaches {g.max_support()}, level is {n}")
+    _check_level(c, n)
+    word = _staircases(c, [(i, c.pi_rows[t]) for i, t in sorted(g.colors.items())])
+    word += [(c.r.sparse, j, j + 2) for j in adjacent_word(g.perm, n)]
+    return gate_product(c.layout(n), word)
+
+
+def _check_level(c: YangBaxterCouple, n: int) -> None:
+    """Refuse an image on W (x) V^(x n) above MAX_OPERATOR_DIM or MAX_LEVEL."""
     # d >= 2 passes the limit by level MAX_LEVEL + 1, so the capped exponent
     # decides the check without forming d^n for a huge n
     if c.w * c.d ** min(n, MAX_LEVEL + 1) > MAX_OPERATOR_DIM:
@@ -178,26 +192,91 @@ def _image_word(c: YangBaxterCouple, g: WreathElement, n: int) -> list:
         raise OperatorTooLargeError(
             f"the image on W (x) V^(x {n}) has level n = {n}, above the limit "
             f"MAX_LEVEL = {MAX_LEVEL}")
+
+
+def _staircases(c: YangBaxterCouple, placed) -> list:
+    """The color word: for each (i, op) in increasing i, the gates
+    R_(i-1) ... R_1 op R_1 ... R_(i-1), op on W (x) V_1."""
     r = c.r.sparse
     word = []
-    for i in sorted(g.colors):
+    for i, op in placed:
         stairs = [(r, j, j + 2) for j in range(1, i)]  # R_1 ... R_(i-1)
-        word += stairs[::-1] + [(c.pi_rows[g.colors[i]], 0, 2)] + stairs
-    word += [(r, j, j + 2) for j in adjacent_word(g.perm, n)]
+        word += stairs[::-1] + [(op, 0, 2)] + stairs
     return word
 
 
-def character(c: YangBaxterCouple, g: WreathElement) -> CycloScalar:
-    """Normalized trace of the image of g.
+def _site_gate(c: YangBaxterCouple, t: int, length: int) -> SparseOperator:
+    """M(t, L) = pi(t) (1_W (x) T^(L-1)) on W (x) V, T = Tr_2(R): the site a
+    colored cycle of length L and color t reduces to.  Kept in a per-couple
+    memo filled on first use; M(t, 1) is pi(t) itself."""
+    if length == 1:
+        return c.pi_rows[t]
+    gate = c._site_gates.get((t, length))
+    if gate is None:
+        gate = c._site_gates[t, length] = gate_product(
+            (c.w, c.d), [(c.pi_rows[t], 0, 2), (t_power(c.r, length - 1), 1, 2)])
+    return gate
 
-    The trace is taken at h = wreath.compact_form(g), a conjugate of g, on
-    n = max(|supp g|, 1) tensor factors, by matrix.gate_trace: conjugation
-    leaves the trace unchanged.
+
+def character(c: YangBaxterCouple, g: WreathElement) -> CycloScalar:
+    """Normalized trace of the image of g, on a reduced word.
+
+    Let h = wreath.compact_form(g), a conjugate of g: its k colored cycles
+    (fixed colored points count, with L = 1) carry the color t of the
+    cycle on their first point, and n = |supp g|.  Then
+
+        chi(g) = prod over uncolored cycles of tr(T^(L-1))
+                 * tr(word) / (w * d^n),
+
+    where T = Tr_2(R) (rmatrix.t_power) and the word is the color word of
+    the element with colors t_1 .. t_k on positions 1 .. k, on
+    W (x) V^(x k), with M(t_j, L_j) = pi(t_j) (1_W (x) T^(L_j - 1)) in place
+    of pi(t_j) (_site_gate).  It is evaluated by matrix.gate_trace, and
+    the limits MAX_OPERATOR_DIM and MAX_LEVEL bound w * d^k and k.
+
+    Proof.  Conjugation keeps the trace, so take the conjugate of g whose
+    k colored heads sit on slots 1 .. k, with every other point of the
+    support above k.  No staircase touches a slot above k.
+    1. Trace the slots above k top-down.  Each appears once in the word of
+       the permutation (S_n = S_(n-1) u S_(n-1) s_(n-1) S_(n-1)), and
+       Tr_n(A R_(n-1) B) = A T_(n-1) B for A, B free of slot n.
+    2. Move each T with T_j R_j = R_j T_(j+1), which is
+       (T (x) 1) R = R (1 (x) T) (see rmatrix.cycle_trace_sequence), and
+       T_(j+1) R_j = R_j T_j, which follows from it and R^2 = 1.  This
+       carries each T to its cycle's head; an uncolored cycle, traced
+       whole, gives the scalar tr(T^(L-1)).
+    3. T at head j commutes with the staircase of any other head: pushed
+       through that staircase, it meets pi only at a slot >= 2.  So
+       T^(L-1) joins pi(t_j) as M(t_j, L_j).
+    4. The staircases stay.  The shortcut that drops them,
+       tr_W(prod_j Tr_V M_j), is false: with R = 1 on C^2 (x) C^2 and
+       pi(s) = diag(1, -1), s at 1 and s at 2 have literal trace 1 and
+       shortcut value 0.
     """
+    if c.group != g.group:
+        raise GroupMismatchError("element is over a different group than the couple")
     h = compact_form(g)
-    n = max(h.max_support(), 1)
-    word = _image_word(c, h, n)
-    return gate_trace(c.layout(n), word) / (c.w * c.d ** n)
+    n, moved = h.max_support(), h.perm.map
+    # the fixed colored points of h come first, then each cycle on the next
+    # L positions, its last one mapped back to its first
+    head = n - len(moved) + 1
+    sites = [(h.colors[p], 1) for p in range(1, head)]
+    value = ONE
+    while head <= n:
+        last = head
+        while moved[last] != head:
+            last += 1
+        t, length = h.colors.get(head), last - head + 1
+        if t is None:
+            value = value * t_power(c.r, length - 1).trace()
+        else:
+            sites.append((t, length))
+        head = last + 1
+    _check_level(c, len(sites))
+    word = _staircases(c, [(j, _site_gate(c, t, length)) for j, (t, length) in enumerate(sites, 1)])
+    trace = gate_trace(c.layout(len(sites)), word, c._trace_memo)
+    # 1 / (w * d^n) in canonical form, without a Fraction and an inverse
+    return value * trace * CycloScalar(1, (1,), c.w * c.d ** n)
 
 
 @dataclass

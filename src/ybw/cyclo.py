@@ -453,15 +453,18 @@ class CycloScalar:
     # -- embeddings ----------------------------------------------------
 
     def to_complex(self) -> complex:
-        """Evaluate the power-basis expression at exp(2*pi*i/N)."""
+        """Evaluate the power-basis expression at exp(2*pi*i/N).  An int
+        past the float range (about 2^1024) is divided by the denominator
+        first, which int division rounds correctly (to 0 when tiny)."""
         z = cmath.exp(2j * cmath.pi / self.n)
+        big = max(self.den, *map(abs, self.nums)).bit_length() > 1000
         acc = 0 + 0j
         power = 1 + 0j
         for c in self.nums:
             if c:
-                acc += c * power
+                acc += (c / self.den if big else c) * power
             power *= z
-        return acc / self.den
+        return acc if big else acc / self.den
 
     # -- rendering -----------------------------------------------------
 

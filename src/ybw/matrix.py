@@ -13,8 +13,9 @@ evaluators multiply such words out, none materializing an amplified gate
 or keeping an operator between calls:
 
 - the phase-permutation engine (_phase_permutation), when every gate has
-  one root-of-unity entry per row: the word is a permutation of the basis
-  with phases zeta_m^e, evaluated on plain int lists;
+  one entry per row, a root of unity times a positive integer: the word is
+  a permutation of the basis with phases zeta_m^e, and with integer
+  weights when some entry has one, evaluated on plain int lists;
 - packed integers of the group ring Z[C_m] (_group_ring), for any other
   word: each gate is scaled to integer coefficients, each entry becomes an
   element of N[C_m] packed into one int, so a scalar product is one int
@@ -24,8 +25,10 @@ or keeping an operator between calls:
   (_apply_gate; the SparseOperator product is one such step).
 
 gate_trace and first_differing_row take the first two: the engine when
-the gates allow it, the group ring otherwise.  gate_product is the literal
-image, for rep_element, certification and the test oracles.
+the gates allow it, the group ring otherwise.  A caller of gate_trace may
+pass a memo that keeps the engine's monomial forms and plans of its
+operators across calls (couple.character does).  gate_product is the
+literal image, for rep_element, certification and the test oracles.
 
 ExactMatrix.zeros fills with the one immutable cyclo.ZERO, so reading a
 dense matrix into rows (SparseOperator.from_dense) tells its unset
@@ -35,7 +38,7 @@ entries apart by an identity test and calls is_zero only on the others.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .cyclo import ONE, ZERO, CycloScalar, root_sum, scalar
 from .errors import DimensionMismatchError
@@ -301,12 +304,13 @@ def gate_product(dims, word) -> SparseOperator:
     return SparseOperator(total, rows)
 
 
-def gate_trace(dims, word) -> CycloScalar:
+def gate_trace(dims, word, memo: dict | None = None) -> CycloScalar:
     """The trace of gate_product(dims, word).
 
-    A word whose gates all have one root-of-unity entry per row runs on
-    the phase-permutation engine (_phase_permutation), which counts each
-    exponent on the fixed points of the basis permutation.  Any other word
+    A word whose gates all have one entry per row, a root of unity times a
+    positive integer, runs on the phase-permutation engine
+    (_phase_permutation), which sums the weights of each exponent on the
+    fixed points of the basis permutation.  Any other word
     runs on packed integers of the group ring Z[C_m] (_group_ring).  Since
     tr(G_1 ... G_k) = tr(G_2 ... G_k G_1), the word is first rotated to
     start at a gate with a row of several entries; the rest of the word is
@@ -316,10 +320,14 @@ def gate_trace(dims, word) -> CycloScalar:
     row coefficient sums, which bounds each slot of that diagonal sum, so
     no slot carries.  Its m slot counts c_e are read once, and g -> zeta_m
     being a ring map, the trace is sum_e c_e zeta_m^e over the product of
-    the gates' denominators."""
+    the gates' denominators.
+
+    A caller that traces many words of the same operators passes a memo
+    dict, which keeps the engine's monomial forms and plans across calls
+    (_phase_permutation)."""
     dims = tuple(dims)
     gates = _sparse_gates(dims, word)
-    engine = _phase_permutation(dims, [gates])
+    engine = _phase_permutation(dims, [gates], memo)
     if engine is None:
         k = next((k for k, (rows, _, _) in enumerate(gates) if any(len(row) > 1 for row in rows)), 0)
         (rotated,), (scale,), bits, m, n = _group_ring(dims, [gates[k:] + gates[:k]])
@@ -328,12 +336,12 @@ def gate_trace(dims, word) -> CycloScalar:
         diagonal = _diagonal_sum(first, prod(dims[stop:]), _ring_product(dims, rest, width))
         diagonal = (diagonal & ((1 << width) - 1)) + (diagonal >> width)
         return root_sum(_slot_counts(diagonal, bits, m), n, scale)
-    (state,), bits, m, n = engine
+    (state,), (weight,), bits, m, n = engine
     counts = [0] * m
     mask = (1 << bits) - 1
     for i, x in enumerate(state):
         if x >> bits == i:
-            counts[(x & mask) % m] += 1
+            counts[(x & mask) % m] += 1 if weight is None else weight[i]
     return root_sum(counts, n)
 
 
@@ -343,7 +351,8 @@ def first_differing_row(dims, lhs, rhs) -> int | None:
 
     Two words on the phase-permutation engine are evaluated there in one
     pass, with one exponent modulus m for both, and compared as (column,
-    exponent mod m) per row.  Any other pair is multiplied out on packed
+    exponent mod m, weight) per row: c zeta_m^e with an integer c >= 1
+    determines c and e mod m.  Any other pair is multiplied out on packed
     integers of Z[C_m] (_group_ring), with one m and one slot width for
     both.  Rows with the same packed entries over the same denominator
     are equal; any other pair of rows is compared as field values, since
@@ -365,75 +374,129 @@ def first_differing_row(dims, lhs, rhs) -> int | None:
         return next((i for i, (x, y) in enumerate(zip(a, b))
                      if not (sa == sb and sorted(x) == sorted(y)) and values(x, sa) != values(y, sb)),
                     None)
-    states, bits, m, _ = engine
-    if states[0] == states[1]:
-        return None  # equal packed states are equal operators
+    states, weights, bits, m, _ = engine
+    if states[0] == states[1] and weights[0] == weights[1]:
+        return None  # equal packed states and weights are equal operators
     mask = (1 << bits) - 1
     a, b = ([(x >> bits) * m + (x & mask) % m for x in state] for state in states)
+    if weights[0] is not None:
+        a, b = zip(a, weights[0]), zip(b, weights[1])
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
 
 
-def _phase_permutation(dims: tuple[int, ...], words) -> tuple[list[list[int]], int, int, int] | None:
+def _phase_permutation(dims: tuple[int, ...], words,
+                       memo: dict | None = None) -> tuple[list, list, int, int, int] | None:
     """The products of several words of sparse gates as permutations of the
-    basis with phases, or None when some gate does not have exactly one
-    root-of-unity entry per row.
+    basis with phases and integer weights, or None when some gate does not
+    have exactly one entry per row of the form c zeta^e, c >= 1 an integer.
 
-    Such a word maps each basis vector to a root of unity zeta_m^e times
-    another, with m = lcm(2, n) for n the lcm of the entry conductors of
-    all the words, so the words share one modulus.  The result is (states,
-    bits, m, n), one state per word: row i of its product has its entry
-    zeta_m^e in column c for state[i] = c << bits | e, where e is the
-    unreduced sum of the gates' exponents.  Each gate gathers runs of
-    packed entries and adds its rows' exponents (_gather_plan); each
-    distinct operator is put in monomial form once, and each distinct
-    (operator, slots) gate gets one plan, for all the words."""
+    Such a word maps each basis vector to c zeta_m^e times another, with
+    m = lcm(2, n) for n the lcm of the entry conductors of all the words,
+    so the words share one modulus.  The result is (states, weights, bits,
+    m, n), one state and one weight list per word: row i of its product
+    has its entry weight[i] zeta_m^e in column c for state[i] = c << bits |
+    e, where e is the unreduced sum of the gates' exponents.  The weight
+    lists are None when every entry of every word has c = 1; otherwise
+    each gate also gathers the weights and scales them by its rows'
+    weights.  Each gate gathers runs of packed entries and adds its rows'
+    exponents (_gather_plan); each distinct operator is put in monomial
+    form once, and each distinct (operator, slots) gate gets one plan, for
+    all the words and for exponents and weights alike.  Forms and plans
+    are kept in memo, keyed by the id of the operator's rows and holding
+    the rows, so a memo that outlives the call (gate_trace) never serves
+    an id another list has reused."""
     distinct = list({id(rows): rows for word in words for rows, _, _ in word}.values())
     if not all(len(row) == 1 for rows in distinct for row in rows):
         return None
     n = lcm(1, *(v.n for rows in distinct for ((_, v),) in rows))
     m = lcm(2, n)
+    memo = {} if memo is None else memo
     forms = {}
     for rows in distinct:
-        exps = [v.root_exponent(m) for ((_, v),) in rows]
-        if None in exps:
+        form = _memoized(memo, rows, (m,), lambda: _monomial_form(rows, m))
+        if form is None:
             return None
-        forms[id(rows)] = ([c for ((c, _),) in rows], exps)
+        forms[id(rows)] = form
+    weighted = any(form[3] for form in forms.values())
     # exponents add up unreduced, to at most len(word) * (m - 1), which
     # fits in bits
     bits = (max(map(len, words), default=0) * (m - 1)).bit_length()
     total = prod(dims)
-    plans: dict[tuple, list] = {}
-    states = []
+    states, weights = [], []
     for word in words:
         state = list(range(0, total << bits, 1 << bits))
+        weight = [1] * total if weighted else None
         for rows, start, stop in reversed(word):
-            plan = plans.get((id(rows), start, stop))
-            if plan is None:
-                plan = plans[id(rows), start, stop] = _gather_plan(
-                    *forms[id(rows)], prod(dims[:start]), prod(dims[stop:]))
+            cols, exps, cs, _ = forms[id(rows)]
+            pre, post = prod(dims[:start]), prod(dims[stop:])
+            plan = _memoized(memo, rows, (pre, post), lambda: _gather_plan(cols, pre, post))
             out = [0] * total
-            for dst, src, e in plan:
+            for dst, src, r in plan:
+                e = exps[r]
                 run = state[src]
                 out[dst] = [x + e for x in run] if e else run
             state = out
+            if weighted:
+                out = [0] * total
+                for dst, src, r in plan:
+                    c = cs[r]
+                    run = weight[src]
+                    out[dst] = [x * c for x in run] if c != 1 else run
+                weight = out
         states.append(state)
-    return states, bits, m, n
+        weights.append(weight)
+    return states, weights, bits, m, n
 
 
-def _gather_plan(cols, exps, pre: int, post: int) -> list[tuple[slice, slice, int]]:
-    """Slices (dst, src, exponent) applying a monomial gate, given by the
-    column and exponent of each row, on pre * mid * post basis vectors:
-    row (p, r, s) takes the entry of row (p, cols[r], s) plus exps[r].
+def _memoized(memo: dict, rows, key: tuple, build):
+    """memo's value for (rows, key), built on a miss; see _phase_permutation."""
+    hit = memo.get((id(rows),) + key)
+    if hit is not None and hit[0] is rows:
+        return hit[1]
+    value = build()
+    memo[(id(rows),) + key] = (rows, value)
+    return value
+
+
+def _monomial_form(rows, m: int) -> tuple[list[int], list[int], list[int], bool] | None:
+    """(columns, exponents, weights, whether a weight is not 1) of the one
+    entry per row, or None when some entry is not c zeta_m^e
+    (_monomial_entry)."""
+    entries = [_monomial_entry(v, m) for ((_, v),) in rows]
+    if None in entries:
+        return None
+    weights = [c for c, _ in entries]
+    return [c for ((c, _),) in rows], [e for _, e in entries], weights, any(c != 1 for c in weights)
+
+
+def _monomial_entry(v: CycloScalar, m: int) -> tuple[int, int] | None:
+    """(c, e) with v = c zeta_m^e for an integer c >= 1, or None.  A root of
+    unity has power-basis coordinates with no common factor (it is a unit),
+    so c is the gcd of v's integer coordinates."""
+    e = v.root_exponent(m)
+    if e is not None:
+        return 1, e
+    c = gcd(*v.nums) if v.den == 1 else 1
+    if c == 1:
+        return None
+    e = CycloScalar(v.n, tuple(x // c for x in v.nums), 1).root_exponent(m)
+    return None if e is None else (c, e)
+
+
+def _gather_plan(cols, pre: int, post: int) -> list[tuple[slice, slice, int]]:
+    """Slices (dst, src, r) applying a monomial gate, given by the column of
+    each row, on pre * mid * post basis vectors: row (p, r, s) takes the
+    entry of row (p, cols[r], s), combined with row r's exponent or weight.
     Runs go along the longer of the p and s axes, so there are few slices."""
     mid = len(cols)
     step = mid * post
     total = pre * step
     if pre <= post:
         return [(slice(b * step + r * post, b * step + (r + 1) * post),
-                 slice(b * step + c * post, b * step + (c + 1) * post), e)
-                for b in range(pre) for r, (c, e) in enumerate(zip(cols, exps))]
-    return [(slice(r * post + s, total, step), slice(c * post + s, total, step), e)
-            for s in range(post) for r, (c, e) in enumerate(zip(cols, exps))]
+                 slice(b * step + c * post, b * step + (c + 1) * post), r)
+                for b in range(pre) for r, c in enumerate(cols)]
+    return [(slice(r * post + s, total, step), slice(c * post + s, total, step), r)
+            for s in range(post) for r, c in enumerate(cols)]
 
 
 def _sparse_gates(dims: tuple[int, ...], word) -> list[tuple[list, int, int]]:

@@ -19,6 +19,10 @@ partial trace T = Tr_2(R), because a certified R satisfies
 R (1 (x) T) = (T (x) 1) R (see cycle_trace_sequence).  The cost is
 polynomial in dim V instead of exponential in n.  The full image of the
 cycle (yb_rep_perm) gives the same trace and is kept as the test oracle.
+T is built in one place, t_power, whose per-RMatrix memo of the powers
+T^j serves both the cycle traces and the characters of couples
+(couple.character), which reduce each cycle of an element by the same
+step.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ class RMatrix:
     """A certified involutive Yang-Baxter solution on V (x) V, dim V = d,
     as its sparse rows."""
 
-    __slots__ = ("d", "sparse", "_cycle_traces")
+    __slots__ = ("d", "sparse", "_cycle_traces", "_t_powers")
 
     def __init__(self, d: int, sparse: SparseOperator, _certified: bool = False):
         if not _certified:
@@ -93,6 +97,7 @@ class RMatrix:
         self.d = d
         self.sparse = sparse
         self._cycle_traces: list[CycloScalar] = []
+        self._t_powers: dict[int, SparseOperator] = {}
 
     @property
     def m(self) -> ExactMatrix:
@@ -194,41 +199,57 @@ def yb_rep_perm(r: RMatrix, sigma: FinitePermutation, n: int) -> SparseOperator:
     return gate_product((r.d,) * n, [(r.sparse, i - 1, i + 1) for i in adjacent_word(sigma, n)])
 
 
+def t_power(r: RMatrix, j: int) -> SparseOperator:
+    """T^j for the partial trace T = Tr_2(R), T[i][j] = sum_x R[(i,x),(j,x)],
+    as sparse rows, j >= 1.
+
+    The powers are kept in a per-RMatrix memo (RMatrix._t_powers), which
+    cycle_trace_sequence and couple.character share.  T is built once from
+    the nonzero entries of R; T^j is T * T^(j-1) when that power is kept,
+    and T^(j//2) * T^(j - j//2) otherwise, so a single large power costs
+    O(log j) sparse products.  A diagonal T (every normal form) costs d
+    scalar products per product.
+    """
+    powers = r._t_powers
+    power = powers.get(j)
+    if power is not None:
+        return power
+    if j == 1:
+        d = r.d
+        entries: list[dict[int, CycloScalar]] = [{} for _ in range(d)]
+        for a, row in enumerate(r.sparse.rows):
+            i, x = divmod(a, d)
+            for c, v in row:
+                k, y = divmod(c, d)
+                if y == x:
+                    prev = entries[i].get(k)
+                    entries[i][k] = v if prev is None else prev + v
+        power = SparseOperator(d, [sorted((k, v) for k, v in row.items() if not v.is_zero())
+                                   for row in entries])
+    elif j - 1 in powers:
+        power = powers[1] * powers[j - 1]
+    else:
+        power = t_power(r, j // 2) * t_power(r, j - j // 2)
+    powers[j] = power
+    return power
+
+
 def cycle_trace_sequence(r: RMatrix, n_max: int) -> list[CycloScalar]:
     """Traces of the cycle operators for n = 2 .. n_max (index n-2).
 
-    With T = Tr_2(R) the partial trace over the second factor,
-    T[i][j] = sum_x R[(i,x),(j,x)], the trace of R_1 ... R_(n-1) is
-    tr(T^(n-1)) (Lechner-Pennig-Wood).  A certified R satisfies
-    R (1 (x) T) = (T (x) 1) R, hence Tr_2(R (1 (x) T^k)) = T^(k+1), and
-    tracing out the last factor of R_1 ... R_(n-1) T_n^k, which keeps the
-    trace, leaves R_1 ... R_(n-2) T_(n-1)^(k+1).  Repeating down to one
-    factor gives tr(T^(n-1)), at a cost polynomial in d.  T is built as
-    sparse rows from the nonzero entries of R, and its powers are sparse
-    products T * T^k, so a diagonal T (every normal form) costs d scalar
-    products per power.
+    With T = Tr_2(R) the partial trace over the second factor (t_power),
+    the trace of R_1 ... R_(n-1) is tr(T^(n-1)) (Lechner-Pennig-Wood).  A
+    certified R satisfies R (1 (x) T) = (T (x) 1) R, hence
+    Tr_2(R (1 (x) T^k)) = T^(k+1), and tracing out the last factor of
+    R_1 ... R_(n-1) T_n^k, which keeps the trace, leaves
+    R_1 ... R_(n-2) T_(n-1)^(k+1).  Repeating down to one factor gives
+    tr(T^(n-1)), at a cost polynomial in d.  The traces are kept in their
+    own memo, read off the powers of t_power's memo.
     """
     cached = r._cycle_traces
-    if len(cached) >= n_max - 1:
-        return cached[: n_max - 1]
-    d = r.d
-    entries: list[dict[int, CycloScalar]] = [{} for _ in range(d)]
-    for a, row in enumerate(r.sparse.rows):
-        i, x = divmod(a, d)
-        for c, v in row:
-            j, y = divmod(c, d)
-            if y == x:
-                prev = entries[i].get(j)
-                entries[i][j] = v if prev is None else prev + v
-    t = SparseOperator(d, [sorted((j, v) for j, v in row.items() if not v.is_zero())
-                           for row in entries])
-    power = t
-    out = [t.trace()]
-    for _ in range(3, n_max + 1):
-        power = t * power
-        out.append(power.trace())
-    r._cycle_traces = out
-    return out[: n_max - 1]
+    if len(cached) < n_max - 1:
+        cached += [t_power(r, j).trace() for j in range(len(cached) + 1, n_max)]
+    return cached[: n_max - 1]
 
 
 def char_cycle(r: RMatrix, n: int) -> Fraction:

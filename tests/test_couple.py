@@ -9,6 +9,7 @@ from ybw.construct import build_couple
 from ybw.couple import (
     MAX_LEVEL,
     MAX_OPERATOR_DIM,
+    _site_gate,
     certify_couple,
     character,
     gram_psd_check,
@@ -28,9 +29,17 @@ from ybw.errors import (
 from ybw.groups import catalog_irreps, load_group
 from ybw.hirai import closed_form_character, validate_params
 from ybw import matrix
-from ybw.matrix import ExactMatrix, SparseOperator, amplify, flip_operator, gate_product, gate_trace
+from ybw.matrix import (
+    ExactMatrix,
+    SparseOperator,
+    amplify,
+    first_differing_row,
+    flip_operator,
+    gate_product,
+    gate_trace,
+)
 from ybw.perms import FinitePermutation
-from ybw.rmatrix import boxplus, scalar_rmatrix, verify_rmatrix
+from ybw.rmatrix import boxplus, scalar_rmatrix, t_power, verify_rmatrix
 from ybw.rng import Lcg64
 from ybw.wreath import WreathElement
 
@@ -638,7 +647,17 @@ def differential_couples(z2, pm_couple, flip_couple, corpus_couples):
     pi_s = ExactMatrix.from_entries(2, 2, {(0, 1): a, (1, 0): a.conj()})
     out["rational phase"] = (certify_couple(z2, flip_couple.r, [ExactMatrix.identity(2), pi_s], 1),
                              False, 128)
+    # two couples on which dropping the staircases of the reduced word fails
+    out["identity R"] = (identity_r_couple(z2), True, 128)
+    cx = ExactMatrix.from_entries(4, 4, {(0, 0): 1, (1, 1): 1, (2, 3): 1, (3, 2): 1})
+    out["controlled-X"] = (certify_couple(z2, flip_couple.r, [ExactMatrix.identity(4), cx], 2), True, 128)
     return out
+
+
+def identity_r_couple(z2):
+    """R = 1 on C^2 (x) C^2 with pi(s) = diag(1, -1), w = 1: certified, and
+    its T = 2 commutes with everything, yet the staircases matter."""
+    return certify_couple(z2, scalar_rmatrix(2, +1), [ExactMatrix.identity(2), ExactMatrix.diag([1, -1])], 1)
 
 
 def top_level(c, dim):
@@ -715,3 +734,80 @@ def test_checks_over_nothing_are_not_ok(pm_couple):
     assert report.pairs_checked == 0 and not report.failures and not report.ok
     report = gram_psd_check(pm_couple, [])
     assert report.size == 0 and report.hermitian and not report.ok
+
+
+def test_the_staircases_of_the_reduced_word_matter(z2):
+    # s at 1 and s at 2 on the identity R: the literal trace is 1, while
+    # tr_W(prod_j Tr_V M_j) / (w d^n) = tr(diag(1, -1))^2 / 4 = 0
+    c = identity_r_couple(z2)
+    g = WreathElement(z2, {1: 1, 2: 1})
+    assert character(c, g) == 1 == rep_element(c, g, 2).trace() / 4
+    assert c.pi_rows[1].trace() == 0
+
+
+def test_t_moves_through_r_on_every_differential_r(differential_couples):
+    # (T (x) 1) R = R (1 (x) T), which the reduced word's proof rests on
+    for label, (c, _, _) in differential_couples.items():
+        t, eye, r = t_power(c.r, 1).to_dense(), ExactMatrix.identity(c.d), c.r.m
+        assert t.kron(eye) * r == r * eye.kron(t), label
+
+
+def long_element(rng, group, size):
+    """Colors on the moved points of a random permutation of 1..size; the
+    few cycles keep the reduced word small whatever the support."""
+    perm = rng.permutation_of(list(range(1, size + 1)))
+    return WreathElement(group, {p: rng.below(group.order) for p in perm.map}, perm)
+
+
+def test_characters_on_supports_of_twenty_and_more(corpus_couples):
+    # the literal level |supp| would ask for d^20 and more
+    rng = Lcg64(131)
+    for name, (params, c, _) in corpus_couples.items():
+        checked = 0
+        while checked < 6:
+            g = long_element(rng, params.group, 20 + rng.below(6))
+            if len(g.support()) < 20:
+                continue
+            assert character(c, g) == closed_form_character(params, g), (name, g)
+            checked += 1
+    # q8: colored 5-cycles of colors 3, 5 and 2 and an uncolored 7-cycle
+    params, c, _ = corpus_couples["q8_2dim.params.json"]
+    cycles = [range(1, 6), range(6, 11), range(11, 16), range(16, 23)]
+    g = WreathElement(params.group, {1: 3, 6: 5, 11: 2}, FinitePermutation.from_cycles(cycles))
+    assert len(g.support()) == 22
+    assert character(c, g) == closed_form_character(params, g)
+    with pytest.raises(OperatorTooLargeError, match=r"w\*d\^n = 1\*4\^22"):
+        rep_element(c, g, 22)
+
+
+def test_weighted_monomial_words_stay_on_the_engine(differential_couples, monkeypatch):
+    # words of R, pi and gates c zeta^e with integers c >= 1 (pi(t) times an
+    # integer diagonal, and the sites M(t, L) of the reduced word) against
+    # gate_product; no such word reaches the packed group ring, and words
+    # that differ only in a weight differ in first_differing_row
+    built = []
+    group_ring = matrix._group_ring
+    monkeypatch.setattr(matrix, "_group_ring", lambda dims, words: built.append(1) or group_ring(dims, words))
+    rng = Lcg64(137)
+    weighted_words = 0
+    for label, (c, monomial, dim) in differential_couples.items():
+        if not monomial:
+            continue
+        n = top_level(c, dim)
+        weights = [scalar(1 + rng.below(3)) * (1 - 2 * rng.below(2)) for _ in range(c.w * c.d)]
+        diag = SparseOperator(c.w * c.d, [[(i, v)] for i, v in enumerate(weights)])
+        weighted = [c.pi_rows[t] * diag for t in range(c.group.order)]
+        weighted += [_site_gate(c, t, 2 + rng.below(4)) for t in range(c.group.order)]
+        gates = [(c.r.sparse, j, j + 2) for j in range(1, n)] + [(m, 0, 2) for m in c.pi_rows + tuple(weighted)]
+        for _ in range(25):
+            word = [gates[rng.below(len(gates))] for _ in range(1 + rng.below(12))]
+            del built[:]
+            assert gate_trace(c.layout(n), word) == gate_product(c.layout(n), word).trace(), (label, word)
+            k = rng.below(len(word))
+            op, start, stop = word[k]
+            other = word[:k] + [(op * SparseOperator(op.dim, [[(i, scalar(2))] for i in range(op.dim)]),
+                                 start, stop)] + word[k + 1:]
+            assert first_differing_row(c.layout(n), word, other) == 0, (label, word)
+            assert not built, label
+            weighted_words += any(m in weighted for m, _, _ in word)
+    assert weighted_words > 50

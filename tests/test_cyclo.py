@@ -285,3 +285,11 @@ def test_values_print_in_their_least_conductor():
                 assert x == y and x.n == lcm(y.n, k)
                 assert str(x) == str(y), (y.n, y.nums, k)
     assert moved > 10
+
+
+def test_to_complex_past_the_float_range():
+    # an int above about 2^1024 has no float: the coordinates are divided
+    # by the denominator first, and a quotient below the float range is 0
+    half = (zeta(4) * 2 ** 2000 + 2 ** 2000) / 2 ** 2001
+    assert half.to_complex() == complex(0.5, 0.5)
+    assert (CycloScalar.from_rational(1) / 3 ** 1100).to_complex() == 0

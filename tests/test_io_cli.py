@@ -462,6 +462,76 @@ def test_cli_rejects_a_dimension_whose_rmatrix_exceeds_the_matrix_limit(tmp_path
                    f"exceed the limit {codecs.MAX_MATRIX_DIM}\n")
 
 
+def test_cli_verify_theorem_samples_fewer_positions_where_d_needs_it(capsys):
+    # at d = 12 an element with 5 colored cycles needs 12^5 dimensions,
+    # above MAX_OPERATOR_DIM, so the sampler stays on positions 1..4
+    params = str(corpus_dir() / "q8_2dim.params.json")
+    code, out, _ = run_cli(capsys, "verify-theorem", params, "--d", "12", "--samples", "20")
+    assert code == 0 and "FAIL" not in out
+    assert ("20 sampled elements over positions 1..4 agree exactly "
+            "(d^5 is above MAX_OPERATOR_DIM)") in out
+
+
+def long_cycle(tmp_path, length, colors=None):
+    elt = tmp_path / f"cycle{length}.json"
+    elt.write_text(json.dumps({"colors": colors or {}, "cycles": [list(range(1, length + 1))]}))
+    return str(elt)
+
+
+@pytest.fixture
+def z3_couple_file(tmp_path, capsys):
+    out_file = tmp_path / "z3.json"
+    code, _, _ = run_cli(capsys, "build", str(corpus_dir() / "z3_eps_mix.params.json"),
+                         "--out", str(out_file))
+    assert code == 0
+    return str(out_file)
+
+
+@pytest.mark.parametrize("command, colors", [("char", None), ("char", {"1": 1}),
+                                             ("hirai-char", None), ("hirai-char", {"1": 1})])
+def test_cli_refuses_a_value_past_the_printable_digits(tmp_path, capsys, z3_couple_file,
+                                                       command, colors):
+    # a 20,000-cycle has a value of about 6,000 digits: hirai-char ended in
+    # a ValueError traceback from CycloScalar.__str__, and char computes
+    # T^19999 from halves instead of one product at a time
+    elt = long_cycle(tmp_path, 20000, colors)
+    source = z3_couple_file if command == "char" else str(corpus_dir() / "z3_eps_mix.params.json")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, source, "--element", elt)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == (f"error: malformed input: {elt}: the value has a numerator or denominator of "
+                   "more than 4000 digits, the limit MAX_VALUE_DIGITS\n")
+
+
+def test_cli_refuses_a_tiny_entry_raised_to_a_cycle(tmp_path, capsys):
+    # one entry 1/10^100 and a 50-cycle: a 5,000-digit denominator, once a
+    # traceback; as admissible parameters it asks for d = 10^100 instead
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"group": "z2", "a": {"triv": {"0": ["1/1" + "0" * 100]}}}))
+    elt = long_cycle(tmp_path, 50)
+    code, out, err = run_cli(capsys, "hirai-char", str(params), "--element", elt)
+    assert code == 2 and out == "" and "more than 4000 digits, the limit MAX_VALUE_DIGITS" in err
+    params.write_text(json.dumps({"group": "z2", "a": {"triv": {"0": ["9" * 100 + "/1" + "0" * 100,
+                                                                      "1/1" + "0" * 100]}}}))
+    for argv in (["verify-theorem", str(params)], ["build", str(params), "--out", str(tmp_path / "c")]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and f"exceed the limit {codecs.MAX_MATRIX_DIM}" in err, argv
+
+
+def test_cli_prints_a_value_past_the_float_range(tmp_path, capsys, z3_couple_file):
+    # a 1,100-cycle on z3_eps_mix has the value 1/3^1100, whose 525 digits
+    # to_complex once turned into an OverflowError traceback
+    elt = long_cycle(tmp_path, 1100)
+    values = []
+    for command, source in (("char", z3_couple_file),
+                            ("hirai-char", str(corpus_dir() / "z3_eps_mix.params.json"))):
+        code, out, _ = run_cli(capsys, command, source, "--element", elt)
+        assert code == 0
+        values.append(re.fullmatch(r"PASS [a-z ]+: (1/\d+) = 0\+0j\n", out).group(1))
+    assert values[0] == values[1] == f"1/{3 ** 1100}"
+
+
 def test_cli_element(tmp_path, capsys):
     elt = tmp_path / "e.json"
     elt.write_text(json.dumps({"colors": {"1": 3, "5": 2}, "cycles": [[1, 2, 3], [6, 7]]}))

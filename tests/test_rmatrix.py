@@ -29,6 +29,7 @@ from ybw.rmatrix import (
     normal_form_from_thoma,
     normal_forms_of_dim,
     scalar_rmatrix,
+    t_power,
     verify_rmatrix,
     yb_rep_perm,
 )
@@ -740,3 +741,21 @@ def test_certify_and_extract_cost_about_the_nonzeros_of_r(monkeypatch):
     del is_zero[:]
     assert extract_thoma(r) == params
     assert len(is_zero) <= d * d
+
+
+def test_t_powers_by_halves_match_the_dense_powers():
+    # a power asked for alone is built from halves, in O(log j) products
+    # kept in the memo; the cycle traces read the same memo
+    rng = random.Random(2417)
+    u = seeded_block_unitary(rng, 4)
+    uu = u.kron(u)
+    params = ThomaParams.make([Fraction(1, 2)], [Fraction(1, 4), Fraction(1, 4)])
+    for r in (normal_form_from_thoma(params, 4), hadamard_conjugated_flip(),
+              verify_rmatrix(uu * normal_form_from_thoma(params, 4).m * uu.dagger(), 4)):
+        t = partial_trace(r)
+        power = ExactMatrix.identity(r.d)
+        dense = [power := power * t for _ in range(40)]
+        assert t_power(r, 37).to_dense() == dense[36]
+        assert len(r._t_powers) <= 12
+        assert cycle_trace_sequence(r, 41) == [p.trace() for p in dense]
+        assert all(t_power(r, j).to_dense() == dense[j - 1] for j in range(1, 41))
