@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Sweep the bundled parameter corpus: build each couple, then compare the
-trace character against the closed form on seeded random elements.
+trace character against the closed form on seeded random elements, and on
+a fixed seeded sample with supports in [1, 24].
 
 Usage: python scripts/theorem_sweep.py [--samples N] [--seed S] [--window W]
 """
@@ -15,6 +16,9 @@ from ybw.couple import verify_extremality
 from ybw.hirai import is_yb_admissible
 from ybw.io import params_from_json, read_json_file
 from ybw.rng import Lcg64
+
+# the fixed long-support sample: LONG_SAMPLES elements in [1, LONG_WINDOW]
+LONG_SEED, LONG_SAMPLES, LONG_WINDOW = 24, 10, 24
 
 
 def main():
@@ -42,6 +46,9 @@ def main():
         rng = Lcg64(args.seed)
         sample = [rng.wreath_element(params.group, 1, args.window)
                   for _ in range(args.samples)]
+        long_rng = Lcg64(LONG_SEED)
+        sample += [long_rng.wreath_element(params.group, 1, LONG_WINDOW)
+                   for _ in range(LONG_SAMPLES)]
         result = end_to_end_check(params, sample)
         if not result.thoma_ok:
             print(f"{name}: built {result.thoma_built}, expected {result.thoma_expected}")

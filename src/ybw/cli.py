@@ -14,6 +14,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
+from math import log10
 from pathlib import Path
 
 from . import io as codecs
@@ -21,7 +22,7 @@ from .construct import build_couple, end_to_end_check
 from .couple import MAX_OPERATOR_DIM, certify_couple, character
 from .errors import SchemaError, YbwError
 from .groups import CATALOG_NAMES, catalog_irreps, load_group
-from .hirai import closed_form_character, is_yb_admissible, thoma_restriction
+from .hirai import closed_form_character, entry_denominator, is_yb_admissible, thoma_restriction
 from .rmatrix import boxplus, extract_thoma, verify_rmatrix
 from .rng import Lcg64
 from .wreath import conjugacy_invariant, standard_decomposition
@@ -185,11 +186,15 @@ def cmd_params_check(args, report: Report) -> None:
     report.add("thoma restriction", True, str(thoma_restriction(params)))
 
 
+def _too_long(path: str) -> SchemaError:
+    return SchemaError(path, f"the value has a numerator or denominator of more than "
+                             f"{MAX_VALUE_DIGITS} digits, the limit MAX_VALUE_DIGITS")
+
+
 def _printable(value, path: str):
     """value, once its numerator and denominator are known to print."""
     if max(value.den, *map(abs, value.nums)) >= 10 ** MAX_VALUE_DIGITS:
-        raise SchemaError(path, f"the value has a numerator or denominator of more than "
-                                f"{MAX_VALUE_DIGITS} digits, the limit MAX_VALUE_DIGITS")
+        raise _too_long(path)
     return value
 
 
@@ -197,6 +202,11 @@ def cmd_hirai_char(args, report: Report) -> None:
     params = _load_params(args.file, report)
     report.note_input(args.element)
     g = codecs.element_from_json(codecs.read_json_file(args.element), params.group, args.element)
+    # each point of the support multiplies the value's denominator by up to
+    # D = entry_denominator: refuse before any factor or power is formed.
+    # A bound, so a value that would cancel to fewer digits is refused too.
+    if len(g.support()) * log10(entry_denominator(params)) > MAX_VALUE_DIGITS:
+        raise _too_long(args.element)
     value = _printable(closed_form_character(params, g), args.element)
     report.add("hirai character", True, f"{value} = {value.to_complex():.6g}")
 

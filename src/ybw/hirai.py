@@ -8,6 +8,11 @@ most 1.  The closed-form character is a product over the standard
 decomposition: elementary parts contribute a weighted character value of
 their color, cyclic parts a weighted signed power of length-many factors.
 
+Each factor depends only on the cycle's length and the class of its color
+product (an elementary part's only on the class of its color), so the
+factors are kept in a per-parameter memo and a character costs one lookup
+per cycle.
+
 The Yang-Baxter-admissible subset is cut out by four conditions: finite
 support, vanishing extra weights, total mass exactly 1, and rational
 entries; the minimal matrix dimension realizing the set is the lcm of the
@@ -16,11 +21,11 @@ denominators of the per-irrep normalized entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .cyclo import CycloScalar
+from .cyclo import ONE, ZERO, CycloScalar
 from .errors import (
     GroupMismatchError,
     MassExceedsOneError,
@@ -30,7 +35,7 @@ from .errors import (
 )
 from .groups import FiniteGroup, Irrep
 from .rmatrix import ThomaParams
-from .wreath import WreathElement, cycle_product_class, standard_decomposition
+from .wreath import WreathElement, cycle_color
 
 
 def sign_character(length: int, eps: int) -> Fraction:
@@ -50,6 +55,10 @@ class HiraiParams:
     irreps: tuple[Irrep, ...]
     a: dict  # (label, eps) -> tuple[Fraction, ...], trailing zeros stripped
     mu: dict  # label -> Fraction
+    # closed_form_character's factors, filled on first use: (L, class
+    # representative) for a cycle of length L >= 2, (0, representative)
+    # for an elementary part, whose weight also carries mu
+    _factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def a_list(self, label: str, eps: int) -> tuple[Fraction, ...]:
         return self.a.get((label, eps), ())
@@ -124,41 +133,57 @@ def is_yb_admissible(p: HiraiParams) -> YBAdmissibility:
         violations.append("mass_not_one")
     if violations:
         return YBAdmissibility(False, None, tuple(violations))
+    return YBAdmissibility(True, entry_denominator(p), ())  # mu is empty here
+
+
+def entry_denominator(p: HiraiParams) -> int:
+    """The lcm of the denominators of the normalized entries a/dim and mu/dim.
+
+    A cycle of length L contributes a factor whose denominator divides this
+    to the power L, an elementary part one whose denominator divides it,
+    the denominators of the character values aside.
+    """
     dims = {rep.label: rep.dim for rep in p.irreps}
     d = 1
     for (label, _), seq in p.a.items():
         for v in seq:
             d = lcm(d, (v / dims[label]).denominator)
-    return YBAdmissibility(True, d, ())
+    for label, v in p.mu.items():
+        d = lcm(d, (v / dims[label]).denominator)
+    return d
+
+
+def _factor(p: HiraiParams, length: int, rep_t: int) -> CycloScalar:
+    """The factor of a cycle of the given length (0: of an elementary part)
+    whose color product is in the class of rep_t."""
+    factor = ZERO
+    for rep in p.irreps:
+        if length == 0:
+            weight = (p.mu_of(rep.label) + sum(p.a_list(rep.label, 0))
+                      + sum(p.a_list(rep.label, 1))) / rep.dim
+        else:
+            weight = sum(sign_character(length, eps) * (v / rep.dim) ** length
+                         for eps in (0, 1) for v in p.a_list(rep.label, eps))
+        if weight:
+            factor = factor + weight * rep.char(rep_t)
+    return factor
 
 
 def closed_form_character(p: HiraiParams, g: WreathElement) -> CycloScalar:
-    """Product formula over the standard decomposition of g."""
+    """Product formula over the standard decomposition of g, one memo
+    lookup (HiraiParams._factors) per elementary part and per cycle."""
     if p.group != g.group:
         raise GroupMismatchError("element is over a different group than the parameters")
-    dec = standard_decomposition(g)
-    result = CycloScalar.from_rational(1)
-    for _, color in dec.elementary:
-        factor = CycloScalar.from_rational(0)
-        for rep in p.irreps:
-            weight = p.mu_of(rep.label)
-            for eps in (0, 1):
-                weight += sum(p.a_list(rep.label, eps), Fraction(0))
-            if weight:
-                factor = factor + (weight / rep.dim) * rep.char(color)
-        result = result * factor
-    for part in dec.cyclic:
-        length = part.length
-        cls = cycle_product_class(p.group, part)
-        factor = CycloScalar.from_rational(0)
-        for rep in p.irreps:
-            weight = Fraction(0)
-            for eps in (0, 1):
-                sgn = sign_character(length, eps)
-                for v in p.a_list(rep.label, eps):
-                    weight += (v / rep.dim) ** length * sgn
-            if weight:
-                factor = factor + weight * rep.char(cls.representative)
+    group, factors, moved = p.group, p._factors, g.perm.map
+    keys = [(0, group.class_of(t).representative)
+            for pos, t in g.colors.items() if pos not in moved]
+    keys += [(len(cyc), group.class_of(cycle_color(group, cyc, g.colors)).representative)
+             for cyc in g.perm.cycles()]
+    result = ONE
+    for key in keys:
+        factor = factors.get(key)
+        if factor is None:
+            factor = factors[key] = _factor(p, *key)
         result = result * factor
     return result
 

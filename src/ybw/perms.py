@@ -15,9 +15,11 @@ class FinitePermutation:
 
     def __init__(self, mapping: dict[int, int] | None = None):
         m = {k: v for k, v in (mapping or {}).items() if k != v}
-        if sorted(m.keys()) != sorted(m.values()):
+        # the keys are distinct and as many as the values, so the values
+        # are a permutation of the keys exactly when they form the same set
+        if m.keys() != set(m.values()):
             raise ValueError(f"not a bijection on its support: {mapping}")
-        if any(k < 1 for k in m):
+        if m and min(m) < 1:
             raise ValueError("positions are 1-based")
         self.map = m
 
@@ -76,22 +78,23 @@ class FinitePermutation:
     def one_line(self, n: int) -> list[int]:
         if self.max_support() > n:
             raise ValueError(f"support exceeds {n}")
-        return [self(i) for i in range(1, n + 1)]
+        get = self.map.get
+        return [get(i, i) for i in range(1, n + 1)]
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, each rotated to start at its minimum, sorted by minimum."""
+        m = self.map  # every point of a cycle is moved, so a key of m
         seen: set[int] = set()
         out = []
-        for start in sorted(self.map):
+        for start in sorted(m):
             if start in seen:
                 continue
             cyc = [start]
-            seen.add(start)
-            nxt = self(start)
+            nxt = m[start]
             while nxt != start:
                 cyc.append(nxt)
-                seen.add(nxt)
-                nxt = self(nxt)
+                nxt = m[nxt]
+            seen.update(cyc)
             out.append(tuple(cyc))
         return out
 

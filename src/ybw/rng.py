@@ -45,9 +45,12 @@ class Lcg64:
     def permutation_of(self, positions: list[int]) -> FinitePermutation:
         """Fisher-Yates over the given positions; images land in the same set."""
         items = list(positions)
+        state = self.state  # below(i + 1) inlined
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            state = (_MULT * state + _INC) & _MASK
+            j = (state >> 33) % (i + 1)
             items[i], items[j] = items[j], items[i]
+        self.state = state
         return FinitePermutation({p: q for p, q in zip(positions, items)})
 
     def wreath_element(self, group: FiniteGroup, lo: int, hi: int) -> WreathElement:

@@ -96,18 +96,25 @@ def compact_form(g: WreathElement) -> WreathElement:
     on its first.  Relabeling the support in this order and collapsing each
     cycle's colors onto p_1 conjugates g to it.
     """
-    fixed = sorted(p for p in g.colors if g.perm(p) == p)
+    fixed = sorted(p for p in g.colors if p not in g.perm.map)
     colors = {i: g.colors[p] for i, p in enumerate(fixed, 1)}
     cycles = []
     s = len(fixed)
     for cyc in g.perm.cycles():
-        acc = 0
-        for p in cyc[:1] + cyc[:0:-1]:  # p_1, p_L, ..., p_2
-            acc = g.group.mul(acc, g.colors.get(p, 0))
-        colors[s + 1] = acc
+        colors[s + 1] = cycle_color(g.group, cyc, g.colors)
         cycles.append(range(s + 1, s + len(cyc) + 1))
         s += len(cyc)
     return WreathElement(g.group, colors, FinitePermutation.from_cycles(cycles))
+
+
+def cycle_color(group: FiniteGroup, cycle: tuple[int, ...], colors: dict[int, int]) -> int:
+    """t(p_1) t(p_L) ... t(p_2) for the cycle (p_1 ... p_L): the one color
+    compact_form leaves on it, conjugate to the product in any order that
+    follows the cycle backwards."""
+    acc = 0
+    for p in cycle[:1] + cycle[:0:-1]:
+        acc = group.mul(acc, colors.get(p, 0))
+    return acc
 
 
 @dataclass(frozen=True)
@@ -162,13 +169,10 @@ def cycle_product_class(group: FiniteGroup, part: CyclicPart) -> ConjClass:
 
     The cycle is traversed from its minimal position; the product is
     t_last * ... * t_first.  Changing the starting point rotates the word
-    and conjugates the product, so the class is well defined.
+    and conjugates the product, so the class is well defined, and is that
+    of cycle_color, the rotation t_first * t_last * ... * t_second.
     """
-    colors = dict(part.colors)
-    acc = 0
-    for pos in reversed(part.cycle):
-        acc = group.mul(acc, colors.get(pos, 0))
-    return group.class_of(acc)
+    return group.class_of(cycle_color(group, part.cycle, dict(part.colors)))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from conftest import CORPUS_PARAM_FILES
+from ybw.cli import corpus_dir
 from ybw.couple import character
+from ybw.cyclo import CycloScalar
 from ybw.errors import (
     MassExceedsOneError,
     NegativeEntryError,
@@ -10,6 +14,7 @@ from ybw.errors import (
     UnknownIrrepLabelError,
 )
 from ybw.groups import catalog_irreps, load_group
+from ybw.io import params_from_json, read_json_file
 from ybw.hirai import (
     closed_form_character,
     is_yb_admissible,
@@ -20,7 +25,7 @@ from ybw.hirai import (
 from ybw.perms import FinitePermutation
 from ybw.rmatrix import ThomaParams
 from ybw.rng import Lcg64
-from ybw.wreath import WreathElement
+from ybw.wreath import WreathElement, cycle_product_class, standard_decomposition
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +184,95 @@ def test_closed_form_agrees_with_trace_character(corpus_couples):
         for _ in range(20):
             g = rng.wreath_element(params.group, 1, 4)
             assert closed_form_character(params, g) == character(couple, g), (name, g)
+
+
+# -- the factor memo against the direct product formula -------------------
+
+
+def direct_closed_form(p, g):
+    """The product formula evaluated from the raw parameter lists on every
+    call, factor by factor over the standard decomposition: the oracle of
+    closed_form_character's factor memo."""
+    dec = standard_decomposition(g)
+    result = CycloScalar.from_rational(1)
+    for _, color in dec.elementary:
+        factor = CycloScalar.from_rational(0)
+        for rep in p.irreps:
+            weight = p.mu_of(rep.label)
+            for eps in (0, 1):
+                weight += sum(p.a_list(rep.label, eps), Fraction(0))
+            if weight:
+                factor = factor + (weight / rep.dim) * rep.char(color)
+        result = result * factor
+    for part in dec.cyclic:
+        length = part.length
+        cls = cycle_product_class(p.group, part)
+        factor = CycloScalar.from_rational(0)
+        for rep in p.irreps:
+            weight = Fraction(0)
+            for eps in (0, 1):
+                sgn = sign_character(length, eps)
+                for v in p.a_list(rep.label, eps):
+                    weight += (v / rep.dim) ** length * sgn
+            if weight:
+                factor = factor + weight * rep.char(cls.representative)
+        result = result * factor
+    return result
+
+
+def oracle_elements(group, seed):
+    """Seeded elements with repeated (class, length) pairs, colored fixed
+    points and one cycle of 20 or more, each on freshly numbered positions,
+    plus plain window samples."""
+    rng = Lcg64(seed)
+    out = []
+    for _ in range(6):
+        lengths = [1, 1, 2, 2, 2, 3, 3, 20 + rng.below(10)]
+        colors, cycles, start = {}, [], 1
+        for length in lengths:
+            block = list(range(start, start + length))
+            for p in block:
+                colors[p] = rng.below(group.order)
+            if length > 1:
+                cycles.append(block)
+            start += length
+        out.append(WreathElement(group, colors, FinitePermutation.from_cycles(cycles)))
+    out += [rng.wreath_element(group, 1, 8) for _ in range(6)]
+    return out
+
+
+def _non_admissible(groupinfo):
+    # mu != 0, so elementary factors differ from length-1 cyclic ones; and mass < 1
+    return {"mu != 0": make(groupinfo, {("std", 0): [Fraction(1, 3)], ("sgn", 1): [Fraction(1, 6)]},
+                            {"triv": Fraction(1, 4), "sgn": Fraction(1, 8)}),
+            "mass < 1": make(groupinfo, {("std", 0): [Fraction(1, 5), Fraction(1, 7)],
+                                         ("triv", 1): [Fraction(1, 3)]})}
+
+
+def test_factor_memo_equals_the_direct_formula(s3):
+    sets = dict(_non_admissible(s3))
+    for name in CORPUS_PARAM_FILES:
+        # decoded here, so each memo starts cold
+        sets[name] = params_from_json(read_json_file(corpus_dir() / name), name)
+    for name, p in sets.items():
+        assert not p._factors, name
+        elements = oracle_elements(p.group, 71)
+        for g in elements:
+            cold = replace(p)
+            assert closed_form_character(cold, g) == direct_closed_form(p, g), (name, g)
+        for _ in range(2):  # filling, then warm
+            for g in elements:
+                assert closed_form_character(p, g) == direct_closed_form(p, g), (name, g)
+        keys = set(p._factors)
+        assert any(key[0] == 0 for key in keys) and any(key[0] >= 20 for key in keys), name
+
+
+def test_factor_memo_is_not_part_of_equality_or_repr(s3):
+    p = _non_admissible(s3)["mu != 0"]
+    fresh = replace(p)
+    assert fresh._factors is not p._factors
+    text = repr(p)
+    closed_form_character(p, oracle_elements(p.group, 73)[0])
+    assert p._factors and not fresh._factors
+    assert p == fresh and fresh == p
+    assert repr(p) == repr(fresh) == text and "_factors" not in text

@@ -519,6 +519,25 @@ def test_cli_refuses_a_tiny_entry_raised_to_a_cycle(tmp_path, capsys):
         assert code == 2 and out == "" and f"exceed the limit {codecs.MAX_MATRIX_DIM}" in err, argv
 
 
+@pytest.mark.parametrize("element", [{"cycles": [list(range(1, 200001))]},
+                                     {"colors": {str(p): 1 for p in range(1, 50001)}}],
+                         ids=["cycle", "fixed points"])
+def test_cli_refuses_a_tiny_entry_on_a_long_support_at_once(tmp_path, capsys, element):
+    # the 146-byte file with one entry 1/10^100 and one 200,000-cycle took
+    # 25.8 s to exit 2: (1/10^100)^200000 was formed before the digit limit
+    # applied, as the product over colored fixed points was
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"group": "z2", "a": {"triv": {"0": ["1/1" + "0" * 100]}}}))
+    elt = tmp_path / "e.json"
+    elt.write_text(json.dumps(element))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "hirai-char", str(params), "--element", str(elt))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == (f"error: malformed input: {elt}: the value has a numerator or denominator of "
+                   "more than 4000 digits, the limit MAX_VALUE_DIGITS\n")
+
+
 def test_cli_prints_a_value_past_the_float_range(tmp_path, capsys, z3_couple_file):
     # a 1,100-cycle on z3_eps_mix has the value 1/3^1100, whose 525 digits
     # to_complex once turned into an OverflowError traceback

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ybw.perms import FinitePermutation, adjacent_word
 
@@ -48,3 +49,34 @@ def test_rejects_non_bijection():
         FinitePermutation({1: 2, 3: 2})
     with pytest.raises(ValueError):
         FinitePermutation.from_cycles([[1, 2], [2, 3]])
+
+
+@st.composite
+def mappings(draw):
+    """Permutations of a few positions in -1..9, some images then overwritten:
+    bijections, repeated images, positions 0 and -1, and identity entries."""
+    keys = draw(st.lists(st.integers(-1, 9), unique=True, max_size=8))
+    m = dict(zip(keys, draw(st.permutations(keys))))
+    for k in draw(st.lists(st.sampled_from(keys), max_size=2)) if keys else ():
+        m[k] = draw(st.integers(-1, 9))
+    return m
+
+
+@settings(max_examples=200)
+@given(mappings())
+@example({1: 2, 2: 1, 3: 3})
+@example({1: 2, 3: 2})
+@example({0: 1, 1: 0})
+@example({-1: -1, 2: 3, 3: 2})
+def test_constructor_accepts_what_the_sorted_rule_accepted(mapping):
+    # the rule before the set comparison, with its two messages in order
+    moved = {k: v for k, v in mapping.items() if k != v}
+    if sorted(moved) != sorted(moved.values()):
+        want = "not a bijection on its support"
+    elif any(k < 1 for k in moved):
+        want = "positions are 1-based"
+    else:
+        assert FinitePermutation(mapping).map == moved
+        return
+    with pytest.raises(ValueError, match=want):
+        FinitePermutation(mapping)
