@@ -52,8 +52,11 @@ class Report:
         self.findings.append(Finding(check, ok, witness))
 
     def note_input(self, path) -> None:
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        self.inputs[str(path)] = digest
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise SchemaError(str(path), f"cannot read file: {exc}") from None
+        self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
 
     @property
     def exit_code(self) -> int:
@@ -150,7 +153,7 @@ def cmd_boxplus(args, report: Report) -> None:
 
 
 def cmd_element(args, report: Report) -> None:
-    group = load_group(args.group)
+    group = codecs.catalog_group(args.group, "--group")
     report.note_input(args.json)
     g = codecs.element_from_json(codecs.read_json_file(args.json), group, args.json)
     # with neither view asked for, report both rather than pass on nothing
@@ -276,7 +279,8 @@ def cmd_verify_theorem(args, report: Report) -> None:
     # built couple (w = 1) traces it on at most d^m dimensions
     m = max(j for j in range(1, 6) if (d or 1) ** j <= MAX_OPERATOR_DIM)
     rng = Lcg64(args.seed)
-    sample = [rng.wreath_element(params.group, 1, m) for _ in range(args.samples)]
+    # drawn as checked, so memory does not grow with --samples
+    sample = (rng.wreath_element(params.group, 1, m) for _ in range(args.samples))
     result = end_to_end_check(params, sample, args.d)
     report.add("thoma restriction matches extracted parameters", result.thoma_ok,
                f"built {result.thoma_built}, expected {result.thoma_expected}")

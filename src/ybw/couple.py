@@ -32,8 +32,12 @@ matrix.gate_trace.  That runs on the phase-permutation engine when every
 gate has one entry per row, a root of unity times a positive integer, as
 on the builder's couples (T is an integer diagonal there), and on packed
 integers of the group ring Z[C_m] otherwise, as on conjugated couples.
-The sites M(t, L) and the engine's monomial forms and plans are kept on
-the couple, filled on first use, never by certify_couple.  rep_element
+A couple keeps three memos, each filled by character on first use and
+never by certify_couple: _site_gates, the sites M(t, L); _trace_memo, the
+engine's monomial forms and plans; and _word_traces, the trace of each
+reduced word by its sites ((t_1, L_1), ..., (t_k, L_k)).  So an element
+whose reduced word was met before costs its compact form, the scalars of
+its uncolored cycles and one lookup, on either engine.  rep_element
 and certification multiply words out on CycloScalar rows with
 matrix.gate_product, and rep_element stays the literal image at any level
 n >= max(support), the oracle of character.
@@ -84,7 +88,7 @@ class YangBaxterCouple:
     """A certified (pi, R) pair over a finite group: pi_rows holds one
     canonical SparseOperator per group element, and pi is the dense view."""
 
-    __slots__ = ("group", "r", "pi_rows", "w", "_site_gates", "_trace_memo")
+    __slots__ = ("group", "r", "pi_rows", "w", "_site_gates", "_trace_memo", "_word_traces")
 
     def __init__(self, group: FiniteGroup, r: RMatrix, pi_rows: tuple[SparseOperator, ...],
                  w: int, _certified: bool = False):
@@ -96,6 +100,8 @@ class YangBaxterCouple:
         self.w = w
         self._site_gates: dict[tuple[int, int], SparseOperator] = {}  # see _site_gate
         self._trace_memo: dict = {}  # matrix.gate_trace's, for character
+        # the trace of each reduced word character has met, by its sites
+        self._word_traces: dict[tuple[tuple[int, int], ...], CycloScalar] = {}
 
     @property
     def pi(self) -> tuple[ExactMatrix, ...]:
@@ -231,8 +237,9 @@ def character(c: YangBaxterCouple, g: WreathElement) -> CycloScalar:
     where T = Tr_2(R) (rmatrix.t_power) and the word is the color word of
     the element with colors t_1 .. t_k on positions 1 .. k, on
     W (x) V^(x k), with M(t_j, L_j) = pi(t_j) (1_W (x) T^(L_j - 1)) in place
-    of pi(t_j) (_site_gate).  It is evaluated by matrix.gate_trace, and
-    the limits MAX_OPERATOR_DIM and MAX_LEVEL bound w * d^k and k.
+    of pi(t_j) (_site_gate).  It is evaluated by matrix.gate_trace once
+    per couple and kept in c._word_traces under its sites; the limits
+    MAX_OPERATOR_DIM and MAX_LEVEL bound w * d^k and k before the lookup.
 
     Proof.  Conjugation keeps the trace, so take the conjugate of g whose
     k colored heads sit on slots 1 .. k, with every other point of the
@@ -273,8 +280,11 @@ def character(c: YangBaxterCouple, g: WreathElement) -> CycloScalar:
             sites.append((t, length))
         head = last + 1
     _check_level(c, len(sites))
-    word = _staircases(c, [(j, _site_gate(c, t, length)) for j, (t, length) in enumerate(sites, 1)])
-    trace = gate_trace(c.layout(len(sites)), word, c._trace_memo)
+    key = tuple(sites)
+    trace = c._word_traces.get(key)
+    if trace is None:
+        word = _staircases(c, [(j, _site_gate(c, t, length)) for j, (t, length) in enumerate(key, 1)])
+        trace = c._word_traces[key] = gate_trace(c.layout(len(key)), word, c._trace_memo)
     # 1 / (w * d^n) in canonical form, without a Fraction and an inverse
     return value * trace * CycloScalar(1, (1,), c.w * c.d ** n)
 

@@ -28,7 +28,7 @@ from math import lcm
 from pathlib import Path
 
 from .cyclo import CycloScalar, totient
-from .errors import SchemaError
+from .errors import SchemaError, UnknownCatalogNameError
 from .groups import FiniteGroup, catalog_irreps, load_group
 from .hirai import HiraiParams, validate_params
 from .matrix import ExactMatrix, SparseOperator
@@ -236,19 +236,31 @@ def element_from_json(obj, group: FiniteGroup, path: str) -> WreathElement:
     return WreathElement(group, colors, perm)
 
 
+def catalog_group(name: str, path: str) -> FiniteGroup:
+    """groups.load_group on a name read from input: a name outside the
+    catalog is malformed input at ``path``."""
+    try:
+        return load_group(name)
+    except UnknownCatalogNameError as exc:
+        raise SchemaError(path, str(exc)) from None
+
+
 def params_from_json(obj, path: str) -> HiraiParams:
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected a parameter object")
     _check_format(obj, path)
     if "group" not in obj:
         raise SchemaError(path, "missing field 'group'")
-    group = load_group(str(obj["group"]))
+    group = catalog_group(str(obj["group"]), f"{path}.group")
     irreps = catalog_irreps(group)
+    labels = {rep.label for rep in irreps}
     for field in ("a", "mu"):
         if not isinstance(obj.get(field, {}), dict):
             raise SchemaError(f"{path}.{field}", "expected an object keyed by irrep label")
     a_raw = {}
     for label, by_eps in obj.get("a", {}).items():
+        if label not in labels:
+            raise SchemaError(f"{path}.a.{label}", f"unknown irrep label {label!r}")
         if not isinstance(by_eps, dict):
             raise SchemaError(f"{path}.a.{label}", "expected an object with keys '0' and/or '1'")
         for eps_key, seq in by_eps.items():
@@ -261,6 +273,8 @@ def params_from_json(obj, path: str) -> HiraiParams:
             a_raw[(label, int(eps_key))] = values
     mu_raw = {}
     for label, v in obj.get("mu", {}).items():
+        if label not in labels:
+            raise SchemaError(f"{path}.mu.{label}", f"unknown irrep label {label!r} in mu")
         mu_raw[label] = rational_from_str(v, f"{path}.mu.{label}")
     return validate_params(group, irreps, a_raw, mu_raw)
 
@@ -336,7 +350,10 @@ def read_json_file(path: str | Path):
 
 
 def write_json_file(path: str | Path, obj) -> None:
-    Path(path).write_text(dumps(obj))
+    try:
+        Path(path).write_text(dumps(obj))
+    except OSError as exc:
+        raise SchemaError(str(path), f"cannot write file: {exc}") from None
 
 
 def dumps(obj) -> str:

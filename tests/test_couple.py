@@ -704,6 +704,97 @@ def test_character_matches_the_literal_trace(differential_couples):
     assert checked >= 1000
 
 
+def fresh(c):
+    """c certified again from its rows: the same couple with empty memos."""
+    return certify_couple(c.group, c.r, c.pi_rows, c.w)
+
+
+def embedded(g, n, rnd):
+    """g with its support moved in order onto random positions of 1..n,
+    next to a random uncolored permutation of the other positions: an
+    element with the same colored cycles in the same order, so the same
+    reduced word, and other uncolored cycles."""
+    support = g.support()
+    places = sorted(rnd.sample(range(1, n + 1), len(support)))
+    move = dict(zip(support, places))
+    rest = [p for p in range(1, n + 1) if p not in places]
+    shuffled = rnd.sample(rest, len(rest))
+    perm = {move[p]: move[q] for p, q in g.perm.map.items()}
+    perm.update(zip(rest, shuffled))
+    return WreathElement(g.group, {move[p]: t for p, t in g.colors.items()},
+                         FinitePermutation(perm))
+
+
+def test_the_word_memo_agrees_cold_and_warm_with_the_literal_trace(differential_couples,
+                                                                    corpus_couples):
+    # many elements share a reduced word; each value, on a fresh couple and
+    # again on its filled memo, equals the literal trace of rep_element
+    rng, rnd = Lcg64(139), random.Random(139)
+    for label, (c, _, dim) in differential_couples.items():
+        cold, top = fresh(c), top_level(c, dim)
+        elements = []
+        for _ in range(6):
+            g = rng.wreath_element(c.group, 1, 1 + rng.below(top))
+            elements += [g] + [embedded(g, max(len(g.support()), rnd.randint(1, top)), rnd)
+                               for _ in range(5)]
+        first = [character(cold, g) for g in elements]
+        assert len(cold._word_traces) <= 6, label
+        for g, value in zip(elements, first):
+            n = max(g.max_support(), 1)
+            literal = rep_element(c, g, n).trace() / (c.w * c.d ** n)
+            assert value == literal == character(cold, g), (label, g)
+    # on the corpus, supports far past the literal limit against the closed form
+    for name, (params, c, _) in corpus_couples.items():
+        cold = fresh(c)
+        for _ in range(8):
+            g = rng.wreath_element(c.group, 1, 1 + rng.below(4))
+            for h in [g] + [embedded(g, rnd.randint(len(g.support()), 14), rnd) for _ in range(4)]:
+                want = closed_form_character(params, h)
+                assert character(cold, h) == want == character(cold, h), (name, h)
+        assert len(cold._word_traces) <= 8, name
+
+
+def test_build_and_certify_leave_the_word_memo_empty(corpus_params, differential_couples):
+    for params in corpus_params.values():
+        assert build_couple(params)[0]._word_traces == {}
+    for label, (c, _, _) in differential_couples.items():
+        assert fresh(c)._word_traces == {}, label
+
+
+def test_couples_with_the_same_sites_and_other_r_share_no_trace(pm_couple, z2):
+    # pm and the identity R have the same w, d and pi, so the same sites;
+    # each memo holds its own couple's traces
+    pm, ident = fresh(pm_couple), identity_r_couple(z2)
+    rng = Lcg64(149)
+    for _ in range(40):
+        g = rng.wreath_element(z2, 1, 4)
+        n = max(g.max_support(), 1)
+        for c in (pm, ident):
+            assert character(c, g) == rep_element(c, g, n).trace() / 2 ** n, g
+    shared = pm._word_traces.keys() & ident._word_traces.keys()
+    assert pm._word_traces is not ident._word_traces
+    assert any(pm._word_traces[k] != ident._word_traces[k] for k in shared)
+
+
+def test_the_limits_come_before_the_word_memo(pm_couple, z2):
+    # an empty memo and one holding the very key raise the same error
+    d1 = certify_couple(z2, scalar_rmatrix(1, +1), [ExactMatrix.identity(1), ExactMatrix.diag([-1])], 1)
+    for c, message in ((pm_couple, r"w\*d\^n = 1\*2\^17, above the limit MAX_OPERATOR_DIM"),
+                       (d1, r"level n = 17, above the limit MAX_LEVEL = 16")):
+        c = fresh(c)
+        g = WreathElement(z2, {p: 1 for p in range(1, 18)})
+        errors = []
+        for planted in (False, True):
+            if planted:
+                for k in range(1, 9):
+                    character(c, WreathElement(z2, {p: 1 for p in range(1, k + 1)}))
+                c._word_traces[((1, 1),) * 17] = ONE
+            with pytest.raises(OperatorTooLargeError, match=message) as info:
+                character(c, g)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+
 def test_character_and_literal_trace_print_alike_across_conductors():
     # pi(t) = diag(zeta_3, zeta_3^2) with the i-twisted flip of signs
     # (+1, -1): the engine's root sum keeps conductor 12, while the literal

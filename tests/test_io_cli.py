@@ -736,3 +736,87 @@ def test_cli_refuses_params_whose_minimal_rmatrix_exceeds_the_matrix_limit(tmp_p
     path = f"{out_file}.r" if command == "build" else str(params)
     assert err == (f"error: malformed input: {path}: dimensions 1000000 x 1000000 "
                    f"exceed the limit {codecs.MAX_MATRIX_DIM}\n")
+
+
+@pytest.mark.parametrize("case", ["missing rmatrix", "directory rmatrix", "missing element",
+                                  "build --out", "boxplus --out"])
+def test_cli_file_system_errors_exit_2_with_the_path(tmp_path, capsys, case):
+    # each printed an OSError traceback and exited 1, the writers after all
+    # their work
+    params = str(corpus_dir() / "z2_half_half.params.json")
+    flip = str(corpus_dir() / "flip2.rmatrix.json")
+    missing = str(tmp_path / "missing" / "x.json")
+    if case == "missing rmatrix":
+        argv = ["check-rmatrix", missing]
+    elif case == "directory rmatrix":
+        missing = str(tmp_path)
+        argv = ["check-rmatrix", missing]
+    elif case == "missing element":
+        couple = tmp_path / "couple.json"
+        assert run_cli(capsys, "build", params, "--out", str(couple))[0] == 0
+        argv = ["char", str(couple), "--element", missing]
+    elif case == "build --out":
+        argv = ["build", params, "--out", missing]
+    else:
+        argv = ["boxplus", flip, flip, "--out", missing]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: malformed input: {missing}: cannot ")
+    assert "Traceback" not in err
+
+
+CATALOG = ", ".join(CATALOG_NAMES)
+
+
+@pytest.mark.parametrize("command", ["params check", "hirai-char", "build", "verify-theorem", "element"])
+def test_cli_a_group_outside_the_catalog_is_malformed_input(tmp_path, capsys, command):
+    # each reported a failed verification and exited 1
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"group": "nope"}))
+    elt = tmp_path / "elt.json"
+    elt.write_text(json.dumps({"colors": {"1": 1}}))
+    argv = {"params check": ["params", "check", str(params)],
+            "hirai-char": ["hirai-char", str(params), "--element", str(elt)],
+            "build": ["build", str(params), "--out", str(tmp_path / "c.json")],
+            "verify-theorem": ["verify-theorem", str(params)],
+            "element": ["element", "--group", "nope", "--json", str(elt)]}[command]
+    code, out, err = run_cli(capsys, *argv)
+    path = "--group" if command == "element" else f"{params}.group"
+    assert code == 2 and out == ""
+    assert err == f"error: malformed input: {path}: unknown group 'nope'; catalog: {CATALOG}\n"
+
+
+@pytest.mark.parametrize("field, value, witness", [
+    ("a", {"zzz": {"0": ["1"]}}, "unknown irrep label 'zzz'"),
+    ("mu", {"zzz": "1/2"}, "unknown irrep label 'zzz' in mu")])
+def test_cli_an_irrep_label_the_group_lacks_is_malformed_input(tmp_path, capsys, field, value, witness):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"group": "z2", field: value}))
+    code, out, err = run_cli(capsys, "params", "check", str(params))
+    assert code == 2 and out == ""
+    assert err == f"error: malformed input: {params}.{field}.zzz: {witness}\n"
+
+
+def test_cli_verify_theorem_draws_its_samples_as_it_checks_them(monkeypatch, capsys):
+    # the sample list was built whole before the first check: about 550
+    # bytes per q8 element, so --samples 10000000 asked for gigabytes.  The
+    # check is replaced by one that draws every sample and keeps none, so
+    # the traced peak is the command's own
+    import tracemalloc
+    from ybw import cli
+
+    counts = []
+    real = cli.end_to_end_check
+    monkeypatch.setattr(cli, "end_to_end_check",
+                        lambda params, sample, d=None: counts.append(sum(1 for _ in sample))
+                        or real(params, [], d))
+    params = str(corpus_dir() / "q8_2dim.params.json")
+    peaks = []
+    for samples in (200, 200, 20000):
+        tracemalloc.start()
+        main(["verify-theorem", params, "--samples", str(samples)])
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert counts == [200, 200, 20000]
+    assert peaks[2] - peaks[1] < 1 << 20, peaks
