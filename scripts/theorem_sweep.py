@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Sweep the bundled parameter corpus: build each couple, then compare the
-trace character against the closed form on seeded random elements, and on
-a fixed seeded sample with supports in [1, 24].
+trace character against the closed form on seeded random elements, on
+a fixed seeded sample with supports in [1, 24], and on one fixed element
+with many equal cycles.
 
 Usage: python scripts/theorem_sweep.py [--samples N] [--seed S] [--window W]
 """
@@ -15,10 +16,28 @@ from ybw.construct import end_to_end_check
 from ybw.couple import verify_extremality
 from ybw.hirai import is_yb_admissible
 from ybw.io import params_from_json, read_json_file
+from ybw.perms import FinitePermutation
 from ybw.rng import Lcg64
+from ybw.wreath import WreathElement
 
 # the fixed long-support sample: LONG_SAMPLES elements in [1, LONG_WINDOW]
 LONG_SEED, LONG_SAMPLES, LONG_WINDOW = 24, 10, 24
+# the fixed many-cycle element: EQUAL_CYCLES[L] uncolored L-cycles, then one
+# cycle of length L colored t (mod the group order) for each (t, L) in
+# COLORED_CYCLES, so equal uncolored cycles are grouped next to colored ones
+EQUAL_CYCLES, COLORED_CYCLES = {2: 300, 3: 100}, ((1, 1), (1, 2), (-1, 3))
+
+
+def many_cycles(group):
+    cycles, colors, start = [], {}, 1
+    lengths = [(0, L) for L, count in EQUAL_CYCLES.items() for _ in range(count)]
+    for t, length in lengths + list(COLORED_CYCLES):
+        if t:
+            colors[start] = t % group.order
+        if length > 1:
+            cycles.append(range(start, start + length))
+        start += length
+    return WreathElement(group, colors, FinitePermutation.from_cycles(cycles))
 
 
 def main():
@@ -49,6 +68,7 @@ def main():
         long_rng = Lcg64(LONG_SEED)
         sample += [long_rng.wreath_element(params.group, 1, LONG_WINDOW)
                    for _ in range(LONG_SAMPLES)]
+        sample.append(many_cycles(params.group))
         result = end_to_end_check(params, sample)
         if not result.thoma_ok:
             print(f"{name}: built {result.thoma_built}, expected {result.thoma_expected}")

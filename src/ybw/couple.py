@@ -20,31 +20,31 @@ pi, so when X_a commutes with pi(b) for all generators a and b, every X_t
 commutes with every pi(t').
 Character values do not depend on the truncation level, because the
 operators act as the identity on appended factors, nor on the element
-within its conjugacy class.  So a character is read at the element's
-compact form (wreath.compact_form: the conjugate written on positions
-1..|support| from its cycles, one color per cycle), and each cycle is
-reduced by the partial trace T = Tr_2(R) (character, with the proof):
-an uncolored cycle of length L becomes the scalar tr(T^(L-1)), and a
-colored one becomes a single site carrying M(t, L) = pi(t) (1_W (x)
-T^(L-1)) in place of pi(t).  The reduced word lives on W (x) V^(x k), k
-the number of colored cycles, whatever the support, and is traced by
-matrix.gate_trace.  That runs on the phase-permutation engine when every
-gate has one entry per row, a root of unity times a positive integer, as
-on the builder's couples (T is an integer diagonal there), and on packed
-integers of the group ring Z[C_m] otherwise, as on conjugated couples.
+within its conjugacy class.  So a character is read off the element's
+colored cycles (wreath.colored_cycles), each reduced by the partial trace
+T = Tr_2(R) (character, with the proof): an uncolored cycle of length L
+becomes the scalar tr(T^(L-1)), and a colored one a single site carrying
+M(t, L) = pi(t) (1_W (x) T^(L-1)) in place of pi(t).  The reduced word
+lives on W (x) V^(x k), k the number of colored cycles, whatever the
+support, and is traced by matrix.gate_trace.  That runs on the
+phase-permutation engine when every gate has one entry per row, a root of
+unity times a positive integer, as on the builder's couples (T is an
+integer diagonal there), and on packed integers of the group ring Z[C_m]
+otherwise, as on conjugated couples.
 A couple keeps three memos, each filled by character on first use and
 never by certify_couple: _site_gates, the sites M(t, L); _trace_memo, the
 engine's monomial forms and plans; and _word_traces, the trace of each
 reduced word by its sites ((t_1, L_1), ..., (t_k, L_k)).  So an element
-whose reduced word was met before costs its compact form, the scalars of
-its uncolored cycles and one lookup, on either engine.  rep_element
-and certification multiply words out on CycloScalar rows with
-matrix.gate_product, and rep_element stays the literal image at any level
-n >= max(support), the oracle of character.
+whose reduced word was met before costs one walk over its cycles, one
+power of tr(T^(L-1)) per length of its uncolored cycles and one lookup,
+on either engine.  rep_element and certification multiply words out on
+CycloScalar rows with matrix.gate_product, and rep_element stays the
+literal image at any level n >= max(support), the oracle of character.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .cyclo import ONE, CycloScalar
@@ -62,7 +62,7 @@ from .groups import FiniteGroup, homomorphism_failure
 from .matrix import ExactMatrix, SparseOperator, amplify, canonical_rows, gate_product, gate_trace
 from .perms import adjacent_word
 from .rmatrix import RMatrix, t_power
-from .wreath import WreathElement, compact_form
+from .wreath import WreathElement, colored_cycles
 
 # The largest dimension of a word's space: w * d^n for the literal image
 # rep_element builds at level n, and w * d^k for the reduced word character
@@ -227,9 +227,9 @@ def _site_gate(c: YangBaxterCouple, t: int, length: int) -> SparseOperator:
 def character(c: YangBaxterCouple, g: WreathElement) -> CycloScalar:
     """Normalized trace of the image of g, on a reduced word.
 
-    Let h = wreath.compact_form(g), a conjugate of g: its k colored cycles
-    (fixed colored points count, with L = 1) carry the color t of the
-    cycle on their first point, and n = |supp g|.  Then
+    Let (t, L) run over wreath.colored_cycles(g), the k colored cycles
+    (t != 0; fixed colored points count, with L = 1) and the uncolored
+    ones (t = 0), and n = |supp g| = sum of L.  Then
 
         chi(g) = prod over uncolored cycles of tr(T^(L-1))
                  * tr(word) / (w * d^n),
@@ -241,9 +241,9 @@ def character(c: YangBaxterCouple, g: WreathElement) -> CycloScalar:
     per couple and kept in c._word_traces under its sites; the limits
     MAX_OPERATOR_DIM and MAX_LEVEL bound w * d^k and k before the lookup.
 
-    Proof.  Conjugation keeps the trace, so take the conjugate of g whose
-    k colored heads sit on slots 1 .. k, with every other point of the
-    support above k.  No staircase touches a slot above k.
+    Proof.  Conjugation keeps the trace, so take the conjugate of g
+    (colored_cycles) whose k colored heads sit on slots 1 .. k, with every
+    other point of the support above k.  No staircase touches a slot above k.
     1. Trace the slots above k top-down.  Each appears once in the word of
        the permutation (S_n = S_(n-1) u S_(n-1) s_(n-1) S_(n-1)), and
        Tr_n(A R_(n-1) B) = A T_(n-1) B for A, B free of slot n.
@@ -262,25 +262,13 @@ def character(c: YangBaxterCouple, g: WreathElement) -> CycloScalar:
     """
     if c.group != g.group:
         raise GroupMismatchError("element is over a different group than the couple")
-    h = compact_form(g)
-    n, moved = h.max_support(), h.perm.map
-    # the fixed colored points of h come first, then each cycle on the next
-    # L positions, its last one mapped back to its first
-    head = n - len(moved) + 1
-    sites = [(h.colors[p], 1) for p in range(1, head)]
-    value = ONE
-    while head <= n:
-        last = head
-        while moved[last] != head:
-            last += 1
-        t, length = h.colors.get(head), last - head + 1
-        if t is None:
-            value = value * t_power(c.r, length - 1).trace()
-        else:
-            sites.append((t, length))
-        head = last + 1
-    _check_level(c, len(sites))
-    key = tuple(sites)
+    cycles = colored_cycles(g)
+    n = sum(length for _, length in cycles)
+    key = tuple((t, length) for t, length in cycles if t)
+    _check_level(c, len(key))
+    value = ONE  # one power per length, so equal cycles cost O(log count) products
+    for length, count in Counter(length for t, length in cycles if not t).items():
+        value = value * t_power(c.r, length - 1).trace() ** count
     trace = c._word_traces.get(key)
     if trace is None:
         word = _staircases(c, [(j, _site_gate(c, t, length)) for j, (t, length) in enumerate(key, 1)])

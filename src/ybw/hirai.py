@@ -9,9 +9,9 @@ decomposition: elementary parts contribute a weighted character value of
 their color, cyclic parts a weighted signed power of length-many factors.
 
 Each factor depends only on the cycle's length and the class of its color
-product (an elementary part's only on the class of its color), so the
-factors are kept in a per-parameter memo and a character costs one lookup
-per cycle.
+product (an elementary part's only on the class of its color), read off
+wreath.colored_cycles, so the factors are kept in a per-parameter memo and
+a character costs one lookup per cycle.
 
 The Yang-Baxter-admissible subset is cut out by four conditions: finite
 support, vanishing extra weights, total mass exactly 1, and rational
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .groups import FiniteGroup, Irrep
 from .rmatrix import ThomaParams
-from .wreath import WreathElement, cycle_color
+from .wreath import WreathElement, colored_cycles
 
 
 def sign_character(length: int, eps: int) -> Fraction:
@@ -170,17 +170,14 @@ def _factor(p: HiraiParams, length: int, rep_t: int) -> CycloScalar:
 
 
 def closed_form_character(p: HiraiParams, g: WreathElement) -> CycloScalar:
-    """Product formula over the standard decomposition of g, one memo
-    lookup (HiraiParams._factors) per elementary part and per cycle."""
+    """Product formula over wreath.colored_cycles(g), one memo lookup
+    (HiraiParams._factors) per elementary part (L = 1) and per cycle."""
     if p.group != g.group:
         raise GroupMismatchError("element is over a different group than the parameters")
-    group, factors, moved = p.group, p._factors, g.perm.map
-    keys = [(0, group.class_of(t).representative)
-            for pos, t in g.colors.items() if pos not in moved]
-    keys += [(len(cyc), group.class_of(cycle_color(group, cyc, g.colors)).representative)
-             for cyc in g.perm.cycles()]
+    group, factors = p.group, p._factors
     result = ONE
-    for key in keys:
+    for t, length in colored_cycles(g):
+        key = (0 if length == 1 else length, group.class_of(t).representative)
         factor = factors.get(key)
         if factor is None:
             factor = factors[key] = _factor(p, *key)

@@ -14,15 +14,18 @@ Files are UTF-8 and carry a "format": 1 version field; it may be omitted
 on input.
 
 Decoding validates shapes and ranges and raises SchemaError with the JSON
-path of the offending node.  Certification (group axioms, R-matrix laws,
-couple laws) is the caller's job and is kept separate so the CLI can
-distinguish malformed input from failed verification.
+path of the offending node; read_json_file refuses a key repeated in one
+object, which json.loads would read as its last value.  Certification
+(group axioms, R-matrix laws, couple laws) is the caller's job and is kept
+separate so the CLI can distinguish malformed input from failed
+verification.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -219,6 +222,9 @@ def element_from_json(obj, group: FiniteGroup, path: str) -> WreathElement:
             raise SchemaError(f"{path}.colors", str(exc)) from None
         if pos < 1:
             raise SchemaError(f"{path}.colors.{key}", "positions are positive integers")
+        if key != str(pos):  # "01" would silently share position 1 with "1"
+            raise SchemaError(f"{path}.colors.{key}",
+                              f"position {pos} must be written {str(pos)!r}, without leading zeros")
         if not _is_int(value) or not (0 <= value < group.order):
             raise SchemaError(f"{path}.colors.{key}", f"color index {value!r} out of range")
         colors[pos] = value
@@ -342,11 +348,20 @@ def read_json_file(path: str | Path):
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(str(path), f"cannot read file: {exc}") from None
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(pairs, str(path)))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
     except (ValueError, RecursionError) as exc:  # too many digits, or nested too deep
         raise SchemaError(str(path), str(exc)) from None
+
+
+def _unique_keys(pairs: list, path: str) -> dict:
+    """A JSON object, refused when a key repeats (json.loads keeps its last value)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise SchemaError(path, f"key {key!r} is repeated in one object")
+    return obj
 
 
 def write_json_file(path: str | Path, obj) -> None:

@@ -89,14 +89,13 @@ class RMatrix:
     """A certified involutive Yang-Baxter solution on V (x) V, dim V = d,
     as its sparse rows."""
 
-    __slots__ = ("d", "sparse", "_cycle_traces", "_t_powers")
+    __slots__ = ("d", "sparse", "_t_powers")
 
     def __init__(self, d: int, sparse: SparseOperator, _certified: bool = False):
         if not _certified:
             raise TypeError("use verify_rmatrix() to construct a certified RMatrix")
         self.d = d
         self.sparse = sparse
-        self._cycle_traces: list[CycloScalar] = []
         self._t_powers: dict[int, SparseOperator] = {}
 
     @property
@@ -243,13 +242,10 @@ def cycle_trace_sequence(r: RMatrix, n_max: int) -> list[CycloScalar]:
     Tr_2(R (1 (x) T^k)) = T^(k+1), and tracing out the last factor of
     R_1 ... R_(n-1) T_n^k, which keeps the trace, leaves
     R_1 ... R_(n-2) T_(n-1)^(k+1).  Repeating down to one factor gives
-    tr(T^(n-1)), at a cost polynomial in d.  The traces are kept in their
-    own memo, read off the powers of t_power's memo.
+    tr(T^(n-1)), at a cost polynomial in d.  The traces are read off the
+    powers of t_power's memo.
     """
-    cached = r._cycle_traces
-    if len(cached) < n_max - 1:
-        cached += [t_power(r, j).trace() for j in range(len(cached) + 1, n_max)]
-    return cached[: n_max - 1]
+    return [t_power(r, j).trace() for j in range(1, n_max)]
 
 
 def char_cycle(r: RMatrix, n: int) -> Fraction:
@@ -258,7 +254,7 @@ def char_cycle(r: RMatrix, n: int) -> Fraction:
         raise ValueError("cycle length must be >= 1")
     if n == 1:
         return Fraction(1)
-    tr = cycle_trace_sequence(r, n)[n - 2]
+    tr = t_power(r, n - 1).trace()
     if not tr.is_rational():
         raise NoMatchError(f"cycle trace {tr} is not rational; R is not a valid R-matrix")
     return tr.as_rational() / Fraction(r.d) ** n

@@ -9,9 +9,8 @@ by relabeling positions.
 The standard decomposition splits an element into elementary parts (one
 colored position, trivial permutation) and cyclic parts (one cycle carrying
 the colors on its support); together with the class of the color product
-along each cycle it yields a complete conjugacy invariant.  compact_form
-writes a conjugate of an element straight from its cycles, on positions
-1..|supp| with one color per cycle; characters are read at that element.
+along each cycle it yields a complete conjugacy invariant.  colored_cycles
+reads each cycle's length and one color, on which characters are evaluated.
 """
 
 from __future__ import annotations
@@ -88,28 +87,20 @@ class WreathElement:
         return f"Wreath({'{' + ', '.join(parts) + '}'}, {self.perm})"
 
 
-def compact_form(g: WreathElement) -> WreathElement:
-    """A conjugate of g on 1..m, m = |supp g|, with at most one color per
-    cycle: the fixed colored points of g, in increasing order, keep their
-    colors on 1..e, then each cycle (p_1 ... p_L) of g.perm.cycles() runs
-    over the next L positions, with the single color t(p_1) t(p_L) ... t(p_2)
-    on its first.  Relabeling the support in this order and collapsing each
-    cycle's colors onto p_1 conjugates g to it.
-    """
-    fixed = sorted(p for p in g.colors if p not in g.perm.map)
-    colors = {i: g.colors[p] for i, p in enumerate(fixed, 1)}
-    cycles = []
-    s = len(fixed)
-    for cyc in g.perm.cycles():
-        colors[s + 1] = cycle_color(g.group, cyc, g.colors)
-        cycles.append(range(s + 1, s + len(cyc) + 1))
-        s += len(cyc)
-    return WreathElement(g.group, colors, FinitePermutation.from_cycles(cycles))
+def colored_cycles(g: WreathElement) -> list[tuple[int, int]]:
+    """(color, length) pairs: each fixed colored point of g in increasing
+    order with length 1, then each cycle of g.perm.cycles() with its
+    cycle_color (0 when uncolored).  Relabeling the support in this order
+    and collapsing each cycle's colors onto its first point conjugates g
+    to the element on 1..|supp g| with these colors on those points."""
+    moved = g.perm.map
+    fixed = [(g.colors[p], 1) for p in sorted(g.colors) if p not in moved]
+    return fixed + [(cycle_color(g.group, cyc, g.colors), len(cyc)) for cyc in g.perm.cycles()]
 
 
 def cycle_color(group: FiniteGroup, cycle: tuple[int, ...], colors: dict[int, int]) -> int:
     """t(p_1) t(p_L) ... t(p_2) for the cycle (p_1 ... p_L): the one color
-    compact_form leaves on it, conjugate to the product in any order that
+    colored_cycles gives it, conjugate to the product in any order that
     follows the cycle backwards."""
     acc = 0
     for p in cycle[:1] + cycle[:0:-1]:

@@ -902,3 +902,64 @@ def test_weighted_monomial_words_stay_on_the_engine(differential_couples, monkey
             assert not built, label
             weighted_words += any(m in weighted for m, _, _ in word)
     assert weighted_words > 50
+
+
+def equal_cycles(group, counts, colored=()):
+    """counts[L] uncolored L-cycles, then one cycle (a fixed point for
+    L = 1) colored t at its first point for each (t, L) in colored, on
+    consecutive positions from 1."""
+    cycles, colors, start = [], {}, 1
+    for length, count in counts.items():
+        for _ in range(count):
+            cycles.append(range(start, start + length))
+            start += length
+    for t, length in colored:
+        colors[start] = t
+        if length > 1:
+            cycles.append(range(start, start + length))
+        start += length
+    return WreathElement(group, colors, FinitePermutation.from_cycles(cycles))
+
+
+def test_equal_uncolored_cycles_cost_a_logarithmic_number_of_products(corpus_couples, monkeypatch):
+    # tr(T^(L-1)) is raised to its count: one product per cycle made 200,000
+    # uncolored 2-cycles take 14.7 s in `ybw char`
+    _, c, _ = corpus_couples["z2_half_half.params.json"]
+    character(c, equal_cycles(c.group, {2: 1}))  # every memo warm
+    calls = []
+    mul = CycloScalar.__mul__
+    monkeypatch.setattr(CycloScalar, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for count in (2_000, 20_000):
+        g = equal_cycles(c.group, {2: count})
+        del calls[:]
+        value = character(c, g)
+        assert len(calls) <= 3 * count.bit_length(), (count, len(calls))
+        assert value == (t_power(c.r, 1).trace() / c.d ** 2) ** count
+
+
+def test_many_equal_cycles_next_to_colored_ones_match_the_closed_form(corpus_couples):
+    colored = [(1, 1), (1, 2), (2, 3), (3, 2)]
+    for name, (params, c, _) in corpus_couples.items():
+        sites = [(t % params.group.order, length) for t, length in colored]
+        g = equal_cycles(params.group, {2: 300, 3: 100, 5: 7}, [s for s in sites if s[0]])
+        assert character(c, g) == closed_form_character(params, g), name
+
+
+def test_characters_build_no_wreath_element_or_permutation(corpus_couples, monkeypatch):
+    # both characters read wreath.colored_cycles, so with every memo warm
+    # neither constructs a conjugate of the element
+    rng = Lcg64(151)
+    cases = [(params, c, [rng.wreath_element(params.group, 1, 1 + rng.below(8)) for _ in range(20)])
+             for params, c, _ in corpus_couples.values()]
+    for params, c, elements in cases:
+        for g in elements:
+            character(c, g), closed_form_character(params, g)
+    built = []
+    for cls in (WreathElement, FinitePermutation):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=init, _cls=cls, **k:
+                            built.append(_cls.__name__) or _init(self, *a, **k))
+    for params, c, elements in cases:
+        for g in elements:
+            assert character(c, g) == closed_form_character(params, g), g
+    assert built == []

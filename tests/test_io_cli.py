@@ -327,6 +327,47 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
     assert "bad.json:1" in err
 
 
+
+@pytest.mark.parametrize("command", ["hirai-char", "element"])
+def test_cli_a_position_written_two_ways_is_malformed_input(tmp_path, capsys, command):
+    # "1" and "01" were both read as position 1, the last value winning
+    elt = tmp_path / "e.json"
+    elt.write_text(json.dumps({"colors": {"1": 1, "01": 2}, "cycles": []}))
+    argv = (["hirai-char", str(corpus_dir() / "s3_std.params.json"), "--element", str(elt)]
+            if command == "hirai-char" else ["element", "--group", "s3", "--json", str(elt)])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (f"error: malformed input: {elt}.colors.01: position 1 must be written '1', "
+                   "without leading zeros\n")
+    with pytest.raises(SchemaError, match=r"^t\.colors\.007: position 7 must be written '7'"):
+        codecs.element_from_json({"colors": {"007": 1}}, load_group("s3"), "t")
+
+
+@pytest.mark.parametrize("kind", ["element", "params", "rmatrix", "couple"])
+def test_cli_a_key_repeated_in_one_object_is_malformed_input(tmp_path, capsys, kind):
+    # json.loads keeps the last value of a repeated key, so each of these
+    # files was read as if its first value were not there
+    bad, elt = tmp_path / "bad.json", tmp_path / "e.json"
+    elt.write_text('{"cycles": [[1, 2]]}')
+    params = str(corpus_dir() / "z2_half_half.params.json")
+    flip = (corpus_dir() / "flip2.rmatrix.json").read_text()
+    raw, argv = {
+        "element": ('{"colors": {"1": 1, "1": 2}, "cycles": []}',
+                    ["hirai-char", params, "--element", str(bad)]),
+        "params": ('{"group": "z2", "group": "s3", "a": {}}', ["hirai-char", str(bad), "--element", str(elt)]),
+        "rmatrix": (flip.replace('"d": 2', '"d": 2, "d": 3', 1), ["thoma", str(bad)]),
+        "couple": (None, ["check-couple", str(bad)]),
+    }[kind]
+    if kind == "couple":
+        built = tmp_path / "c.json"
+        assert run_cli(capsys, "build", params, "--out", str(built))[0] == 0
+        raw = built.read_text().replace('"w": 1', '"w": 1, "w": 1', 1)
+    bad.write_text(raw)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert re.fullmatch(rf"error: malformed input: {re.escape(str(bad))}: key '[a-z1]+' is repeated in "
+                        r"one object\n", err), err
+
 def test_cli_failed_verification_exits_1(tmp_path, capsys):
     bad = tmp_path / "diag.json"
     bad.write_text(json.dumps({

@@ -545,9 +545,10 @@ def test_extract_dense_representative():
     (1, [1, zeta(4)], r"3-cycle image is not rational"),
 ])
 def test_extract_names_the_witness_of_doctored_traces(d, traces, witness):
-    # a certified R whose cached cycle traces for n = 2 .. 2d+1 are replaced
+    # a certified R whose cached powers T^j, j = 1 .. 2d, are replaced by
+    # one-entry diagonals carrying the doctored cycle traces for n = 2 .. 2d+1
     r = verify_rmatrix(ExactMatrix.identity(d * d), d)
-    r._cycle_traces = [scalar(v) for v in traces]
+    r._t_powers.update((j, SparseOperator(1, [[(0, scalar(v))]])) for j, v in enumerate(traces, 1))
     assert len(traces) == 2 * d
     with pytest.raises(NoMatchError, match=witness):
         extract_thoma(r)

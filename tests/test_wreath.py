@@ -7,7 +7,7 @@ from ybw.rng import Lcg64
 from ybw.wreath import (
     CyclicPart,
     WreathElement,
-    compact_form,
+    colored_cycles,
     conjugacy_invariant,
     cycle_product_class,
     standard_decomposition,
@@ -161,10 +161,11 @@ def test_distinct_invariants_detect_non_conjugates(s3):
 
 
 @pytest.mark.parametrize("name", ["s3", "q8"])
-def test_compact_form_moves_the_support_onto_an_initial_segment(name):
-    # the compact form keeps the class, lives on exactly 1..|supp g|, and
-    # carries at most one color per cycle, for supports far from 1 and
-    # split ones alike
+def test_colored_cycles_carry_the_conjugacy_invariant(name):
+    # the (class, length) multiset of colored_cycles is conjugacy_invariant's,
+    # read by standard_decomposition; the lengths cover the support, and the
+    # fixed colored points come first in increasing order, for supports far
+    # from 1 and split ones alike
     group = load_group(name)
     rng = Lcg64(71)
     windows = [(1, 6), (3, 9), (20, 26), (40, 41)]
@@ -173,7 +174,12 @@ def test_compact_form_moves_the_support_onto_an_initial_segment(name):
         g = rng.wreath_element(group, lo, hi)
         if rng.below(2):
             g = g * rng.wreath_element(group, 50 + lo, 50 + hi)
-        h = compact_form(g)
-        assert conjugacy_invariant(h) == conjugacy_invariant(g), g
-        assert h.support() == tuple(range(1, len(g.support()) + 1)), g
-        assert all(len(part.colors) <= 1 for part in standard_decomposition(h).cyclic), g
+        cycles = colored_cycles(g)
+        rep = [(group.class_of(t).representative, length) for t, length in cycles]
+        inv = conjugacy_invariant(g)
+        assert sorted(r for r, length in rep if length == 1) == list(inv.elem_classes), g
+        assert sorted(pair for pair in rep if pair[1] > 1) == list(inv.cycle_data), g
+        assert sum(length for _, length in cycles) == len(g.support()), g
+        fixed = standard_decomposition(g).elementary  # sorted by position
+        assert cycles[:len(fixed)] == [(t, 1) for _, t in fixed], g
+        assert all(length > 1 for _, length in cycles[len(fixed):]), g
