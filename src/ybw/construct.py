@@ -9,8 +9,11 @@ over blocks, and pi(t) is irrep (x) identity on each block, row by row
 from the irrep's rows; no dense matrix is built.
 
 Built couples additionally satisfy the exchange identity
-R (pi(t) (x) 1) R = 1 (x) pi(t), checked exactly, which forces
-extremality of the induced character.
+R (pi(t) (x) 1) R = 1 (x) pi(t), checked exactly by
+couple.exchange_identity_holds, which forces extremality of the induced
+character: the check leaves the couple's flag set, so couple.character
+evaluates each reduced word as a product of scalars, one per colored
+cycle.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .couple import YangBaxterCouple, certify_couple, character
+from .couple import YangBaxterCouple, _exchange_failures, certify_couple, character
 from .cyclo import CycloScalar, MINUS_ONE, ONE
 from .errors import ExtendedREFailsError, NonIntegralBlocksError
 from .hirai import HiraiParams, closed_form_character, is_yb_admissible, thoma_restriction
-from .matrix import SparseOperator, amplify, gate_product
+from .matrix import SparseOperator
 from .rmatrix import RMatrix, ThomaParams, boxplus, extract_thoma, verify_rmatrix
 from .wreath import WreathElement
 
@@ -128,15 +131,13 @@ def build_couple(p: HiraiParams, d: int | None = None) -> tuple[YangBaxterCouple
 
 
 def _check_exchange_identity(c: YangBaxterCouple) -> None:
-    """R (pi(t) (x) 1) R = 1 (x) pi(t), exactly, for every generator t of
-    the group: both sides are homomorphisms in t (R^2 = 1), so agreeing on
-    the generators they agree on every group element."""
-    dims = (c.d, c.d)
-    r = (c.r.sparse, 0, 2)
-    for t in c.group.generators:
-        if gate_product(dims, [r, (c.pi_rows[t], 0, 1), r]) != amplify(c.pi_rows[t], dims, 1, 2):
-            raise ExtendedREFailsError(f"exchange identity fails for element {t}; "
-                                       "this indicates a builder bug")
+    """R (pi(t) (x) 1) R = 1 (x) pi(t), exactly, for every element t of the
+    group, checked on the generators (couple.exchange_identity_holds); the
+    error names the first generator on which it fails."""
+    failures = _exchange_failures(c)
+    if failures:
+        raise ExtendedREFailsError(f"exchange identity fails for element {failures[0]}; "
+                                   "this indicates a builder bug")
 
 
 @dataclass

@@ -26,20 +26,26 @@ T = Tr_2(R) (character, with the proof): an uncolored cycle of length L
 becomes the scalar tr(T^(L-1)), and a colored one a single site carrying
 M(t, L) = pi(t) (1_W (x) T^(L-1)) in place of pi(t).  The reduced word
 lives on W (x) V^(x k), k the number of colored cycles, whatever the
-support, and is traced by matrix.gate_trace.  That runs on the
-phase-permutation engine when every gate has one entry per row, a root of
-unity times a positive integer, as on the builder's couples (T is an
-integer diagonal there), and on packed integers of the group ring Z[C_m]
-otherwise, as on conjugated couples.
-A couple keeps three memos, each filled by character on first use and
-never by certify_couple: _site_gates, the sites M(t, L); _trace_memo, the
-engine's monomial forms and plans; and _word_traces, the trace of each
-reduced word by its sites ((t_1, L_1), ..., (t_k, L_k)).  So an element
+support.
+A couple whose R and pi satisfy the exchange identity
+R_12 pi(t)_01 R_12 = pi(t)_02 on W (x) V (x) V (exchange_identity_holds),
+as every builder couple and its conjugates by unitaries on V do, traces
+that word as the product tr_W(A(t_1, L_1) ... A(t_k, L_k)) of the w x w
+site traces A(t, L) = Tr_V M(t, L): k - 1 products of w x w matrices,
+scalars for w = 1.  Any other couple traces the word with its
+staircases, by matrix.gate_trace (_staircase_trace).
+A couple keeps four lazily filled slots, none of which certify_couple
+touches: _site_gates, the sites M(t, L); _site_traces, the A(t, L);
+_word_traces, the trace of each reduced word by its sites
+((t_1, L_1), ..., (t_k, L_k)); and _exchange_failures, the generators on
+which the exchange identity fails, computed by character on first use,
+or by construct.build_couple, which requires it to hold.  So an element
 whose reduced word was met before costs one walk over its cycles, one
-power of tr(T^(L-1)) per length of its uncolored cycles and one lookup,
-on either engine.  rep_element and certification multiply words out on
-CycloScalar rows with matrix.gate_product, and rep_element stays the
-literal image at any level n >= max(support), the oracle of character.
+power of tr(T^(L-1)) per length of its uncolored cycles and one lookup.
+rep_element and certification multiply words out on CycloScalar rows
+with matrix.gate_product, and rep_element stays the literal image at any
+level n >= max(support), the oracle of character, as the staircase trace
+is of the exchange trace.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .cyclo import ONE, CycloScalar
+from .cyclo import ONE, CycloScalar, scalar
 from .errors import (
     DimensionMismatchError,
     ExtendedREFailsError,
@@ -59,7 +65,8 @@ from .errors import (
     SupportsNotDisjointError,
 )
 from .groups import FiniteGroup, homomorphism_failure
-from .matrix import ExactMatrix, SparseOperator, amplify, canonical_rows, gate_product, gate_trace
+from .matrix import (ExactMatrix, SparseOperator, amplify, canonical_rows, gate_product, gate_trace,
+                     partial_trace)
 from .perms import adjacent_word
 from .rmatrix import RMatrix, t_power
 from .wreath import WreathElement, colored_cycles
@@ -88,7 +95,8 @@ class YangBaxterCouple:
     """A certified (pi, R) pair over a finite group: pi_rows holds one
     canonical SparseOperator per group element, and pi is the dense view."""
 
-    __slots__ = ("group", "r", "pi_rows", "w", "_site_gates", "_trace_memo", "_word_traces")
+    __slots__ = ("group", "r", "pi_rows", "w", "_site_gates", "_site_traces", "_word_traces",
+                 "_exchange_failures")
 
     def __init__(self, group: FiniteGroup, r: RMatrix, pi_rows: tuple[SparseOperator, ...],
                  w: int, _certified: bool = False):
@@ -99,9 +107,11 @@ class YangBaxterCouple:
         self.pi_rows = pi_rows
         self.w = w
         self._site_gates: dict[tuple[int, int], SparseOperator] = {}  # see _site_gate
-        self._trace_memo: dict = {}  # matrix.gate_trace's, for character
+        self._site_traces: dict[tuple[int, int], SparseOperator] = {}  # see _site_trace
         # the trace of each reduced word character has met, by its sites
         self._word_traces: dict[tuple[tuple[int, int], ...], CycloScalar] = {}
+        # see exchange_identity_holds; None until first asked
+        self._exchange_failures: tuple[int, ...] | None = None
 
     @property
     def pi(self) -> tuple[ExactMatrix, ...]:
@@ -224,6 +234,62 @@ def _site_gate(c: YangBaxterCouple, t: int, length: int) -> SparseOperator:
     return gate
 
 
+def exchange_identity_holds(c: YangBaxterCouple) -> bool:
+    """Whether R_12 pi(t)_01 R_12 = pi(t)_02 on W (x) V (x) V for every
+    group element t, pi(t)_02 acting on W and the second V factor; see
+    _exchange_failures."""
+    return not _exchange_failures(c)
+
+
+def _exchange_failures(c: YangBaxterCouple) -> tuple[int, ...]:
+    """The generators t on which the exchange identity fails, computed on
+    the first call and kept in c._exchange_failures.
+
+    With F the flip on V (x) V, pi(t)_02 = F_12 pi(t)_01 F_12, and
+    R^2 = F^2 = 1 turn the identity into [(F R)_12, pi(t)_01] = 0, checked
+    as two gate words on rows; F R is R with its rows permuted by the flip,
+    so it costs no product.  Both sides of the identity are homomorphisms
+    in t, so agreeing on FiniteGroup.generators they agree on every
+    element."""
+    if c._exchange_failures is None:
+        d, rows = c.d, c.r.sparse.rows
+        fr = (SparseOperator(d * d, [rows[y * d + x] for x in range(d) for y in range(d)]), 1, 3)
+        dims = (c.w, d, d)
+        pis = [(t, (c.pi_rows[t], 0, 2)) for t in c.group.generators]
+        c._exchange_failures = tuple(t for t, pi in pis
+                                     if gate_product(dims, [fr, pi]) != gate_product(dims, [pi, fr]))
+    return c._exchange_failures
+
+
+def _site_trace(c: YangBaxterCouple, t: int, length: int) -> SparseOperator:
+    """A(t, L) = Tr_V M(t, L), the w x w partial trace of a site over its V
+    factor, kept in a per-couple memo filled on first use."""
+    a = c._site_traces.get((t, length))
+    if a is None:
+        a = c._site_traces[t, length] = partial_trace(_site_gate(c, t, length), c.d)
+    return a
+
+
+def _exchange_trace(c: YangBaxterCouple, sites) -> CycloScalar:
+    """tr_W(A(t_1, L_1) ... A(t_k, L_k)): the trace of the reduced word of
+    the sites when the exchange identity holds (character, step 4), after
+    k - 1 products of w x w matrices; w for no site."""
+    if not sites:
+        return scalar(c.w)
+    product = _site_trace(c, *sites[0])
+    for t, length in sites[1:]:
+        product = product * _site_trace(c, t, length)
+    return product.trace()
+
+
+def _staircase_trace(c: YangBaxterCouple, sites) -> CycloScalar:
+    """The trace of the reduced word of the sites with its staircases, by
+    matrix.gate_trace on W (x) V^(x k) (character, steps 1-3): right on
+    every couple, and the only evaluation without the exchange identity."""
+    word = _staircases(c, [(j, _site_gate(c, t, length)) for j, (t, length) in enumerate(sites, 1)])
+    return gate_trace(c.layout(len(sites)), word)
+
+
 def character(c: YangBaxterCouple, g: WreathElement) -> CycloScalar:
     """Normalized trace of the image of g, on a reduced word.
 
@@ -237,9 +303,12 @@ def character(c: YangBaxterCouple, g: WreathElement) -> CycloScalar:
     where T = Tr_2(R) (rmatrix.t_power) and the word is the color word of
     the element with colors t_1 .. t_k on positions 1 .. k, on
     W (x) V^(x k), with M(t_j, L_j) = pi(t_j) (1_W (x) T^(L_j - 1)) in place
-    of pi(t_j) (_site_gate).  It is evaluated by matrix.gate_trace once
-    per couple and kept in c._word_traces under its sites; the limits
-    MAX_OPERATOR_DIM and MAX_LEVEL bound w * d^k and k before the lookup.
+    of pi(t_j) (_site_gate).  Its trace is evaluated once per couple and
+    kept in c._word_traces under its sites: as tr_W(A_1 ... A_k),
+    A_j = Tr_V M(t_j, L_j) (_exchange_trace), when the exchange identity
+    holds (exchange_identity_holds), and by matrix.gate_trace otherwise
+    (_staircase_trace).  The limits MAX_OPERATOR_DIM and MAX_LEVEL bound
+    w * d^k and k before the lookup, on either path.
 
     Proof.  Conjugation keeps the trace, so take the conjugate of g
     (colored_cycles) whose k colored heads sit on slots 1 .. k, with every
@@ -255,10 +324,21 @@ def character(c: YangBaxterCouple, g: WreathElement) -> CycloScalar:
     3. T at head j commutes with the staircase of any other head: pushed
        through that staircase, it meets pi only at a slot >= 2.  So
        T^(L-1) joins pi(t_j) as M(t_j, L_j).
-    4. The staircases stay.  The shortcut that drops them,
-       tr_W(prod_j Tr_V M_j), is false: with R = 1 on C^2 (x) C^2 and
-       pi(s) = diag(1, -1), s at 1 and s at 2 have literal trace 1 and
-       shortcut value 0.
+    4. The staircases.  Write X_(0i) for an operator X on W (x) V acting
+       on W and slot i.  With the exchange identity,
+       R_i pi(t)_(0i) R_i = pi(t)_(0,i+1) (the identity on slots i, i+1),
+       and T_i R_i = R_i T_(i+1) give R_i M_(0i) R_i = M_(0,i+1), so the
+       staircase R_(j-1) ... R_1 M_(01) R_1 ... R_(j-1) of head j is
+       M(t_j, L_j)_(0j).  Each V slot then meets one gate, and tracing
+       slot j leaves A_j = Tr_V M(t_j, L_j) in place of its gate:
+       tr(word) = tr_W(A_1 ... A_k), and for w = 1 the character is a
+       product of scalars over the cycles, so multiplicative.  (The A_j
+       commute: the certified equation reads [pi(t)_(02), pi(t')_(01)] = 0
+       under the identity, so M_(02) and M'_(01) commute, and tracing both
+       V slots of either product gives A A' and A' A.)  Without the
+       identity that shortcut is false, and the staircases stay: with
+       R = 1 on C^2 (x) C^2 and pi(s) = diag(1, -1), s at 1 and s at 2
+       have literal trace 1 and shortcut value 0.
     """
     if c.group != g.group:
         raise GroupMismatchError("element is over a different group than the couple")
@@ -271,8 +351,8 @@ def character(c: YangBaxterCouple, g: WreathElement) -> CycloScalar:
         value = value * t_power(c.r, length - 1).trace() ** count
     trace = c._word_traces.get(key)
     if trace is None:
-        word = _staircases(c, [(j, _site_gate(c, t, length)) for j, (t, length) in enumerate(key, 1)])
-        trace = c._word_traces[key] = gate_trace(c.layout(len(key)), word, c._trace_memo)
+        evaluate = _exchange_trace if exchange_identity_holds(c) else _staircase_trace
+        trace = c._word_traces[key] = evaluate(c, key)
     # 1 / (w * d^n) in canonical form, without a Fraction and an inverse
     return value * trace * CycloScalar(1, (1,), c.w * c.d ** n)
 

@@ -413,8 +413,9 @@ class CycloScalar:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:  # no square after the last bit: it would be the largest product
+                base = base * base
         return result
 
     def conj(self) -> CycloScalar:

@@ -25,10 +25,10 @@ or keeping an operator between calls:
   (_apply_gate; the SparseOperator product is one such step).
 
 gate_trace and first_differing_row take the first two: the engine when
-the gates allow it, the group ring otherwise.  A caller of gate_trace may
-pass a memo that keeps the engine's monomial forms and plans of its
-operators across calls (couple.character does).  gate_product is the
+the gates allow it, the group ring otherwise.  gate_product is the
 literal image, for rep_element, certification and the test oracles.
+partial_trace sums out the last factor of an operator: T = Tr_2(R) and
+the site traces of couple.character.
 
 ExactMatrix.zeros fills with the one immutable cyclo.ZERO, so reading a
 dense matrix into rows (SparseOperator.from_dense) tells its unset
@@ -288,6 +288,23 @@ def amplify(op: ExactMatrix | SparseOperator, dims, start: int, stop: int) -> Sp
     return gate_product(dims, [(op, start, stop)])
 
 
+def partial_trace(op: SparseOperator, inner: int) -> SparseOperator:
+    """The trace over the last factor of op on C^outer (x) C^inner, as
+    canonical rows: entry (i, k) is sum_x op[(i, x), (k, x)].  One pass
+    over the nonzero entries of op."""
+    outer = op.dim // inner
+    entries: list[dict[int, CycloScalar]] = [{} for _ in range(outer)]
+    for a, row in enumerate(op.rows):
+        i, x = divmod(a, inner)
+        for c, v in row:
+            k, y = divmod(c, inner)
+            if y == x:
+                prev = entries[i].get(k)
+                entries[i][k] = v if prev is None else prev + v
+    return SparseOperator(outer, [sorted((k, v) for k, v in row.items() if not v.is_zero())
+                                  for row in entries])
+
+
 def gate_product(dims, word) -> SparseOperator:
     """The product G_1 ... G_k of the gates (op, start, stop) in ``word``.
 
@@ -304,7 +321,7 @@ def gate_product(dims, word) -> SparseOperator:
     return SparseOperator(total, rows)
 
 
-def gate_trace(dims, word, memo: dict | None = None) -> CycloScalar:
+def gate_trace(dims, word) -> CycloScalar:
     """The trace of gate_product(dims, word).
 
     A word whose gates all have one entry per row, a root of unity times a
@@ -320,14 +337,10 @@ def gate_trace(dims, word, memo: dict | None = None) -> CycloScalar:
     row coefficient sums, which bounds each slot of that diagonal sum, so
     no slot carries.  Its m slot counts c_e are read once, and g -> zeta_m
     being a ring map, the trace is sum_e c_e zeta_m^e over the product of
-    the gates' denominators.
-
-    A caller that traces many words of the same operators passes a memo
-    dict, which keeps the engine's monomial forms and plans across calls
-    (_phase_permutation)."""
+    the gates' denominators."""
     dims = tuple(dims)
     gates = _sparse_gates(dims, word)
-    engine = _phase_permutation(dims, [gates], memo)
+    engine = _phase_permutation(dims, [gates])
     if engine is None:
         k = next((k for k, (rows, _, _) in enumerate(gates) if any(len(row) > 1 for row in rows)), 0)
         (rotated,), (scale,), bits, m, n = _group_ring(dims, [gates[k:] + gates[:k]])
@@ -384,8 +397,7 @@ def first_differing_row(dims, lhs, rhs) -> int | None:
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
 
 
-def _phase_permutation(dims: tuple[int, ...], words,
-                       memo: dict | None = None) -> tuple[list, list, int, int, int] | None:
+def _phase_permutation(dims: tuple[int, ...], words) -> tuple[list, list, int, int, int] | None:
     """The products of several words of sparse gates as permutations of the
     basis with phases and integer weights, or None when some gate does not
     have exactly one entry per row of the form c zeta^e, c >= 1 an integer.
@@ -402,34 +414,34 @@ def _phase_permutation(dims: tuple[int, ...], words,
     exponents (_gather_plan); each distinct operator is put in monomial
     form once, and each distinct (operator, slots) gate gets one plan, for
     all the words and for exponents and weights alike.  Forms and plans
-    are kept in memo, keyed by the id of the operator's rows and holding
-    the rows, so a memo that outlives the call (gate_trace) never serves
-    an id another list has reused."""
+    live for one call, keyed by the id of the operator's rows, which the
+    words hold until it returns."""
     distinct = list({id(rows): rows for word in words for rows, _, _ in word}.values())
     if not all(len(row) == 1 for rows in distinct for row in rows):
         return None
     n = lcm(1, *(v.n for rows in distinct for ((_, v),) in rows))
     m = lcm(2, n)
-    memo = {} if memo is None else memo
     forms = {}
     for rows in distinct:
-        form = _memoized(memo, rows, (m,), lambda: _monomial_form(rows, m))
+        form = forms[id(rows)] = _monomial_form(rows, m)
         if form is None:
             return None
-        forms[id(rows)] = form
     weighted = any(form[3] for form in forms.values())
     # exponents add up unreduced, to at most len(word) * (m - 1), which
     # fits in bits
     bits = (max(map(len, words), default=0) * (m - 1)).bit_length()
     total = prod(dims)
+    plans = {}
     states, weights = [], []
     for word in words:
         state = list(range(0, total << bits, 1 << bits))
         weight = [1] * total if weighted else None
         for rows, start, stop in reversed(word):
             cols, exps, cs, _ = forms[id(rows)]
-            pre, post = prod(dims[:start]), prod(dims[stop:])
-            plan = _memoized(memo, rows, (pre, post), lambda: _gather_plan(cols, pre, post))
+            key = (id(rows), start, stop)
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = _gather_plan(cols, prod(dims[:start]), prod(dims[stop:]))
             out = [0] * total
             for dst, src, r in plan:
                 e = exps[r]
@@ -446,16 +458,6 @@ def _phase_permutation(dims: tuple[int, ...], words,
         states.append(state)
         weights.append(weight)
     return states, weights, bits, m, n
-
-
-def _memoized(memo: dict, rows, key: tuple, build):
-    """memo's value for (rows, key), built on a miss; see _phase_permutation."""
-    hit = memo.get((id(rows),) + key)
-    if hit is not None and hit[0] is rows:
-        return hit[1]
-    value = build()
-    memo[(id(rows),) + key] = (rows, value)
-    return value
 
 
 def _monomial_form(rows, m: int) -> tuple[list[int], list[int], list[int], bool] | None:

@@ -19,10 +19,10 @@ partial trace T = Tr_2(R), because a certified R satisfies
 R (1 (x) T) = (T (x) 1) R (see cycle_trace_sequence).  The cost is
 polynomial in dim V instead of exponential in n.  The full image of the
 cycle (yb_rep_perm) gives the same trace and is kept as the test oracle.
-T is built in one place, t_power, whose per-RMatrix memo of the powers
-T^j serves both the cycle traces and the characters of couples
-(couple.character), which reduce each cycle of an element by the same
-step.
+T is built in one place, t_power, by matrix.partial_trace (which also
+gives couple.character its site traces), and its per-RMatrix memo of the
+powers T^j serves both the cycle traces and the characters of couples,
+which reduce each cycle of an element by the same step.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ from .errors import (
     SupportExceedsLevelError,
     YBEFailsError,
 )
-from .matrix import ExactMatrix, SparseOperator, canonical_rows, first_differing_row, gate_product
+from .matrix import (ExactMatrix, SparseOperator, canonical_rows, first_differing_row, gate_product,
+                     partial_trace)
 from .perms import FinitePermutation, adjacent_word
 
 
@@ -204,7 +205,7 @@ def t_power(r: RMatrix, j: int) -> SparseOperator:
 
     The powers are kept in a per-RMatrix memo (RMatrix._t_powers), which
     cycle_trace_sequence and couple.character share.  T is built once from
-    the nonzero entries of R; T^j is T * T^(j-1) when that power is kept,
+    the nonzero entries of R (matrix.partial_trace); T^j is T * T^(j-1) when that power is kept,
     and T^(j//2) * T^(j - j//2) otherwise, so a single large power costs
     O(log j) sparse products.  A diagonal T (every normal form) costs d
     scalar products per product.
@@ -214,17 +215,7 @@ def t_power(r: RMatrix, j: int) -> SparseOperator:
     if power is not None:
         return power
     if j == 1:
-        d = r.d
-        entries: list[dict[int, CycloScalar]] = [{} for _ in range(d)]
-        for a, row in enumerate(r.sparse.rows):
-            i, x = divmod(a, d)
-            for c, v in row:
-                k, y = divmod(c, d)
-                if y == x:
-                    prev = entries[i].get(k)
-                    entries[i][k] = v if prev is None else prev + v
-        power = SparseOperator(d, [sorted((k, v) for k, v in row.items() if not v.is_zero())
-                                   for row in entries])
+        power = partial_trace(r.sparse, r.d)
     elif j - 1 in powers:
         power = powers[1] * powers[j - 1]
     else:

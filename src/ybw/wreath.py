@@ -92,10 +92,12 @@ def colored_cycles(g: WreathElement) -> list[tuple[int, int]]:
     order with length 1, then each cycle of g.perm.cycles() with its
     cycle_color (0 when uncolored).  Relabeling the support in this order
     and collapsing each cycle's colors onto its first point conjugates g
-    to the element on 1..|supp g| with these colors on those points."""
-    moved = g.perm.map
-    fixed = [(g.colors[p], 1) for p in sorted(g.colors) if p not in moved]
-    return fixed + [(cycle_color(g.group, cyc, g.colors), len(cyc)) for cyc in g.perm.cycles()]
+    to the element on 1..|supp g| with these colors on those points.  A
+    cycle with no colored position gets 0 without a group product."""
+    moved, colors = g.perm.map, g.colors
+    fixed = [(colors[p], 1) for p in sorted(colors) if p not in moved]
+    return fixed + [(0 if colors.keys().isdisjoint(cyc) else cycle_color(g.group, cyc, colors), len(cyc))
+                    for cyc in g.perm.cycles()]
 
 
 def cycle_color(group: FiniteGroup, cycle: tuple[int, ...], colors: dict[int, int]) -> int:

@@ -6,12 +6,17 @@ from fractions import Fraction
 import pytest
 
 from ybw.construct import build_couple
+from ybw import couple as couple_module
 from ybw.couple import (
     MAX_LEVEL,
     MAX_OPERATOR_DIM,
+    _exchange_trace,
     _site_gate,
+    _site_trace,
+    _staircase_trace,
     certify_couple,
     character,
+    exchange_identity_holds,
     gram_psd_check,
     rep_element,
     verify_extremality,
@@ -647,7 +652,8 @@ def differential_couples(z2, pm_couple, flip_couple, corpus_couples):
     pi_s = ExactMatrix.from_entries(2, 2, {(0, 1): a, (1, 0): a.conj()})
     out["rational phase"] = (certify_couple(z2, flip_couple.r, [ExactMatrix.identity(2), pi_s], 1),
                              False, 128)
-    # two couples on which dropping the staircases of the reduced word fails
+    # identity R lacks the exchange identity, so dropping the staircases of
+    # the reduced word fails on it; controlled-X (w = 2) satisfies it
     out["identity R"] = (identity_r_couple(z2), True, 128)
     cx = ExactMatrix.from_entries(4, 4, {(0, 0): 1, (1, 1): 1, (2, 3): 1, (3, 2): 1})
     out["controlled-X"] = (certify_couple(z2, flip_couple.r, [ExactMatrix.identity(4), cx], 2), True, 128)
@@ -963,3 +969,105 @@ def test_characters_build_no_wreath_element_or_permutation(corpus_couples, monke
         for g in elements:
             assert character(c, g) == closed_form_character(params, g), g
     assert built == []
+
+
+def exchange_identity_on_every_element(c):
+    """R_12 pi(t)_01 R_12 = pi(t)_02 on every group element, on dense
+    matrices: pi(t)_02 is pi(t)_01 conjugated by the flip of the V factors."""
+    eye_w, eye_v = ExactMatrix.identity(c.w), ExactMatrix.identity(c.d)
+    r12, f12 = eye_w.kron(c.r.m), eye_w.kron(flip_operator(c.d, c.d))
+    for m in c.pi:
+        pi01 = m.kron(eye_v)
+        if r12 * pi01 * r12 != f12 * pi01 * f12:
+            return False
+    return True
+
+
+def test_the_exchange_identity_fails_on_identity_r_only(differential_couples):
+    flags = {label: exchange_identity_holds(fresh(c)) for label, (c, _, _) in differential_couples.items()}
+    assert [label for label, holds in flags.items() if not holds] == ["identity R"]
+    for label, (c, _, _) in differential_couples.items():
+        assert flags[label] == exchange_identity_on_every_element(c), label
+
+
+def seeded_sites(rng, c, k):
+    return tuple((1 + rng.below(c.group.order - 1), 1 + rng.below(5)) for _ in range(k))
+
+
+def test_the_exchange_trace_equals_the_staircase_trace_and_rep_element(differential_couples):
+    # on every couple with the exchange identity, w = 2 controlled-X among
+    # them: the product of site traces against the staircase word, and
+    # character against the literal image
+    rng = Lcg64(163)
+    checked = set()
+    for label, (c, _, dim) in differential_couples.items():
+        c, top = fresh(c), top_level(c, dim)
+        if not exchange_identity_holds(c):
+            continue
+        for _ in range(30):
+            sites = seeded_sites(rng, c, rng.below(top + 1))
+            assert _exchange_trace(c, sites) == _staircase_trace(c, sites), (label, sites)
+        # the site traces commute, as the proof of character argues
+        traces = list(c._site_traces.values())
+        assert all(a * b == b * a for a in traces for b in traces), label
+        for _ in range(40):
+            lo = 1 + rng.below(top)
+            g = rng.wreath_element(c.group, lo, lo + rng.below(top - lo + 1))
+            n = max(g.max_support(), 1)
+            assert character(c, g) == rep_element(c, g, n).trace() / (c.w * c.d ** n), (label, g)
+        checked.add(label)
+    assert {"controlled-X", "w2", "pm hadamard", "z2_half_half.params.json rotated"} <= checked
+    assert len(checked) == len(differential_couples) - 1
+
+
+def test_character_never_reaches_gate_trace_on_exchange_couples(differential_couples, z2, monkeypatch):
+    # corpus and conjugated couples evaluate each reduced word as a product
+    # of site traces, cold memos included
+    rng = Lcg64(167)
+    cases = []
+    for label, (c, _, dim) in differential_couples.items():
+        if label != "identity R":
+            top = top_level(c, dim)
+            cases.append((label, fresh(c), [rng.wreath_element(c.group, 1, 1 + rng.below(top))
+                                            for _ in range(20)]))
+
+    def refuse(*args):
+        raise AssertionError("gate_trace called")
+
+    monkeypatch.setattr(couple_module, "gate_trace", refuse)
+    monkeypatch.setattr(matrix, "gate_trace", refuse)
+    for label, c, elements in cases:
+        for g in elements:
+            character(c, g)
+        assert c._word_traces, label
+    # the staircase path is the one that traces words
+    with pytest.raises(AssertionError, match="gate_trace called"):
+        character(identity_r_couple(z2), WreathElement(z2, {1: 1, 2: 1}))
+
+
+def test_certification_leaves_the_exchange_flag_uncomputed(corpus_params, differential_couples):
+    for label, (c, _, _) in differential_couples.items():
+        c = fresh(c)
+        assert c._exchange_failures is None, label
+        character(c, WreathElement(c.group, {1: c.group.order - 1}))
+        assert c._exchange_failures == (() if label != "identity R" else (1,)), label
+    # the builder requires the identity and leaves its flag set
+    for name, params in corpus_params.items():
+        assert build_couple(params)[0]._exchange_failures == (), name
+
+
+def test_the_exchange_trace_takes_k_minus_one_w_by_w_products(differential_couples, monkeypatch):
+    calls = []
+    mul = SparseOperator.__mul__
+    monkeypatch.setattr(SparseOperator, "__mul__", lambda a, b: calls.append(a.dim) or mul(a, b))
+    rng = Lcg64(173)
+    for label in ("controlled-X", "q8_2dim.params.json", "s3_std.params.json rotated"):
+        c = fresh(differential_couples[label][0])
+        for k in (1, 2, 5, 16, 40):
+            sites = seeded_sites(rng, c, k)
+            for site in sites:  # the site traces warm, so only their products count
+                _site_trace(c, *site)
+            del calls[:]
+            _exchange_trace(c, sites)
+            assert len(calls) == k - 1 and set(calls) <= {c.w}, (label, k, calls)
+

@@ -293,3 +293,24 @@ def test_to_complex_past_the_float_range():
     half = (zeta(4) * 2 ** 2000 + 2 ** 2000) / 2 ** 2001
     assert half.to_complex() == complex(0.5, 0.5)
     assert (CycloScalar.from_rational(1) / 3 ** 1100).to_complex() == 0
+
+
+def test_powers_equal_repeated_products_and_stop_squaring_after_the_last_bit(monkeypatch):
+    # square-and-multiply makes bit_length - 1 squares and popcount products
+    # into the result; a square after the last bit would be the largest one
+    bases = [zeta(12) + Fraction(1, 3), CycloScalar.from_rational(Fraction(-5, 7)), zeta(5, 2) * 2 - zeta(5)]
+    for base in bases:
+        want = {0: CycloScalar.from_rational(1)}
+        for k in range(1, 71):
+            want[k] = want[k - 1] * base
+        for k in range(1, 6):
+            want[-k] = want[-k + 1] * base.inv()
+        calls = []
+        mul = CycloScalar.__mul__
+        monkeypatch.setattr(CycloScalar, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        for k in range(-5, 71):
+            del calls[:]
+            assert base ** k == want[k], (base, k)
+            if k > 0:
+                assert len(calls) == (k.bit_length() - 1) + bin(k).count("1"), (base, k, len(calls))
+        monkeypatch.undo()

@@ -9,6 +9,7 @@ from ybw.wreath import (
     WreathElement,
     colored_cycles,
     conjugacy_invariant,
+    cycle_color,
     cycle_product_class,
     standard_decomposition,
 )
@@ -183,3 +184,42 @@ def test_colored_cycles_carry_the_conjugacy_invariant(name):
         fixed = standard_decomposition(g).elementary  # sorted by position
         assert cycles[:len(fixed)] == [(t, 1) for _, t in fixed], g
         assert all(length > 1 for _, length in cycles[len(fixed):]), g
+
+
+def old_colored_cycles(g):
+    """colored_cycles as first written: cycle_color on every cycle."""
+    moved = g.perm.map
+    fixed = [(g.colors[p], 1) for p in sorted(g.colors) if p not in moved]
+    return fixed + [(cycle_color(g.group, cyc, g.colors), len(cyc)) for cyc in g.perm.cycles()]
+
+
+@pytest.mark.parametrize("name", ["s3", "q8", "z2"])
+def test_colored_cycles_match_cycle_color_on_every_cycle(name):
+    # cycles without a colored position skip cycle_color and read 0, as it
+    # would give them
+    group = load_group(name)
+    rng = Lcg64(157)
+    uncolored = 0
+    for _ in range(200):
+        lo = 1 + rng.below(30)
+        g = rng.wreath_element(group, lo, lo + rng.below(9))
+        if rng.below(2):
+            g = g * WreathElement(group, {}, rng.permutation_of(list(range(60, 60 + rng.below(8)))))
+        assert colored_cycles(g) == old_colored_cycles(g), g
+        uncolored += any(not set(cyc) & set(g.colors) for cyc in g.perm.cycles())
+    assert uncolored > 50
+
+
+def test_an_uncolored_element_makes_no_group_product(s3, monkeypatch):
+    calls = []
+    mul = type(s3).mul
+    monkeypatch.setattr(type(s3), "mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
+    cycles = [range(1, 4), range(4, 6), range(10, 17)]
+    g = WreathElement(s3, {}, FinitePermutation.from_cycles(cycles))
+    assert colored_cycles(g) == [(0, 3), (0, 2), (0, 7)]
+    assert calls == []
+    h = WreathElement(s3, {2: 3}, g.perm)
+    want = old_colored_cycles(h)
+    del calls[:]
+    assert colored_cycles(h) == want
+    assert len(calls) == 3  # one product per position of the one colored cycle
